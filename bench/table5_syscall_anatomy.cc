@@ -14,6 +14,7 @@
 #include <map>
 
 #include "core/aosd.hh"
+#include "sim/parallel/parallel_runner.hh"
 
 using namespace aosd;
 
@@ -28,7 +29,8 @@ main()
                                 PhaseKind::CallPrep,
                                 PhaseKind::CCallReturn};
 
-    auto rows = Study::syscallAnatomy();
+    ParallelRunner serial(1);
+    auto rows = Study::syscallAnatomy(serial);
     auto find = [&](MachineId m, PhaseKind ph) {
         for (const auto &r : rows)
             if (r.machine == m && r.phase == ph)

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "core/aosd.hh"
+#include "sim/parallel/parallel_runner.hh"
 
 using namespace aosd;
 
@@ -66,7 +67,8 @@ main()
     std::printf("(simulated MIPS R3000 DECstation 5000/200; each row "
                 "followed by the paper's)\n\n");
 
-    auto rows = Study::machStudy(MachineId::R3000);
+    ParallelRunner serial(1);
+    auto rows = Study::machStudy(MachineId::R3000, serial);
     printHalf(OsStructure::Monolithic, rows);
     printHalf(OsStructure::SmallKernel, rows);
 

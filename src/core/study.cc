@@ -49,13 +49,6 @@ Study::lrpc(MachineId m)
 }
 
 std::vector<SyscallPhaseResult>
-Study::syscallAnatomy()
-{
-    ParallelRunner serial(1);
-    return syscallAnatomy(serial);
-}
-
-std::vector<SyscallPhaseResult>
 Study::syscallAnatomy(ParallelRunner &runner)
 {
     // The anatomy is read off the cycle-attribution profiler rather
@@ -109,13 +102,6 @@ Study::threadState()
         out.push_back(r);
     }
     return out;
-}
-
-std::vector<Table7Row>
-Study::machStudy(MachineId m)
-{
-    ParallelRunner serial(1);
-    return machStudy(m, serial);
 }
 
 std::vector<Table7Row>

@@ -73,24 +73,18 @@ class Study
     /** Table 4: LRPC distribution on a machine (default CVAX). */
     static LrpcBreakdown lrpc(MachineId m = MachineId::CVAX);
 
-    /** Table 5: null-syscall phase decomposition. */
-    static std::vector<SyscallPhaseResult> syscallAnatomy();
-
-    /** syscallAnatomy with one profiled run per machine fanned
-     *  across `runner` (results in machine order regardless of
-     *  completion order). */
+    /** Table 5: null-syscall phase decomposition, one profiled run
+     *  per machine fanned across `runner` (results in machine order
+     *  regardless of completion order). */
     static std::vector<SyscallPhaseResult>
     syscallAnatomy(ParallelRunner &runner);
 
     /** Table 6: thread state sizes. */
     static std::vector<ThreadStateResult> threadState();
 
-    /** Table 7: run every workload on both OS structures.
-     *  Machine defaults to the paper's DECstation 5000/200. */
-    static std::vector<Table7Row>
-    machStudy(MachineId m = MachineId::R3000);
-
-    /** machStudy with one (structure, app) cell per runner job. */
+    /** Table 7: run every workload on both OS structures (the paper
+     *  uses the DECstation 5000/200, MachineId::R3000), one
+     *  (structure, app) cell per runner job. */
     static std::vector<Table7Row> machStudy(MachineId m,
                                             ParallelRunner &runner);
 

@@ -33,11 +33,7 @@ std::atomic<bool> predecodeOn{initialPredecode()};
 bool
 predecodeEnabled()
 {
-#ifndef AOSD_PREDECODE_DISABLED
     return predecodeOn.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
 }
 
 void

@@ -22,13 +22,11 @@
  * interpreter's (tests/test_predecode.cc proves it per machine x
  * primitive; CI cmp-gates whole report documents byte-for-byte).
  *
- * The layer is switchable three ways, all output-preserving:
+ * The layer is switchable two ways, both output-preserving:
  *  - setPredecodeEnabled(false) / the tools' --no-predecode flag picks
  *    the interpreter reference path at run time;
  *  - AOSD_NO_PREDECODE=1 in the environment does the same for
- *    harnesses that cannot pass flags (google-benchmark);
- *  - -DAOSD_DISABLE_PREDECODE=ON compiles the dispatch out entirely
- *    (predecodeEnabled() becomes constant false).
+ *    harnesses that cannot pass flags (google-benchmark).
  */
 
 #ifndef AOSD_CPU_DECODED_PROGRAM_HH
@@ -47,25 +45,13 @@ namespace aosd
 {
 
 /** Is the pre-decoded fast path selected? Defaults to on; off via
- *  setPredecodeEnabled(false), AOSD_NO_PREDECODE=1 in the environment,
- *  or constant-false under -DAOSD_DISABLE_PREDECODE=ON. */
+ *  setPredecodeEnabled(false) or AOSD_NO_PREDECODE=1 in the
+ *  environment. */
 bool predecodeEnabled();
 
 /** Select/deselect the fast path process-wide (worker threads see the
- *  change; call it during option parsing, before simulating). No
- *  effect on a compiled-out (AOSD_DISABLE_PREDECODE) build. */
+ *  change; call it during option parsing, before simulating). */
 void setPredecodeEnabled(bool on);
-
-/** Was the predecode dispatch compiled in? */
-constexpr bool
-predecodeCompiledIn()
-{
-#ifndef AOSD_PREDECODE_DISABLED
-    return true;
-#else
-    return false;
-#endif
-}
 
 /**
  * One stateful interaction with the write buffer. Everything between

@@ -112,9 +112,9 @@ class SimKernel
     // entries/self-cycles/histograms via the sampleN batch updates,
     // sampler boundaries via CounterSampler::tickRun — byte-identical
     // to the per-event loop in every JSON document. Whenever batching
-    // cannot apply (--no-batch / AOSD_NO_BATCH / AOSD_DISABLE_BATCH,
-    // the reference interpreter mode, the tracer on, or an open
-    // span-traced request), they fall back to that per-event loop.
+    // cannot apply (--no-batch / AOSD_NO_BATCH, the reference
+    // interpreter mode, the tracer on, or an open span-traced
+    // request), they fall back to that per-event loop.
     // `sample_each` reproduces the workload drivers' per-event
     //   CounterSampler::tick(elapsedCycles(), primitiveCycles())
     // after every event.

@@ -28,11 +28,7 @@ std::atomic<bool> batchOn{initialBatch()};
 bool
 batchEnabled()
 {
-#ifndef AOSD_BATCH_DISABLED
     return batchOn.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
 }
 
 void

@@ -17,11 +17,10 @@
  * PTE state edits) are still stepped, so every JSON document stays
  * byte-identical to the per-event path.
  *
- * The toggle mirrors the predecode trio (cpu/decoded_program.hh):
- * runtime setBatchEnabled(false) / tools' --no-batch flag, the
+ * The toggle mirrors the predecode pair (cpu/decoded_program.hh):
+ * runtime setBatchEnabled(false) / tools' --no-batch flag, and the
  * AOSD_NO_BATCH environment variable for harnesses that cannot pass a
- * flag (google-benchmark's main), and -DAOSD_DISABLE_BATCH=ON to
- * compile the fast path out entirely.
+ * flag (google-benchmark's main).
  */
 
 #ifndef AOSD_SIM_BATCH_BATCH_HH
@@ -34,21 +33,11 @@ namespace aosd
 {
 
 /** Is batched charging on? (default yes; AOSD_NO_BATCH=1 or
- *  setBatchEnabled(false) select the per-event reference path;
- *  constant false under -DAOSD_DISABLE_BATCH). */
+ *  setBatchEnabled(false) select the per-event reference path). */
 bool batchEnabled();
 
-/** Flip batched charging at runtime (tools' --no-batch). No effect
- *  in an AOSD_DISABLE_BATCH build. */
+/** Flip batched charging at runtime (tools' --no-batch). */
 void setBatchEnabled(bool on);
-
-/** Whether this build compiled the batch fast path in at all. */
-inline constexpr bool batchCompiledIn =
-#ifndef AOSD_BATCH_DISABLED
-    true;
-#else
-    false;
-#endif
 
 /** True when no per-event observer is watching: the event tracer
  *  emits one record per event and an open span-traced request nests

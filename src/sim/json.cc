@@ -87,7 +87,7 @@ Json::at(std::size_t i) const
     return arr[i];
 }
 
-void
+bool
 Json::set(const std::string &key, Json v)
 {
     if (kind_ == Kind::Null)
@@ -97,10 +97,11 @@ Json::set(const std::string &key, Json v)
     for (auto &kv : obj) {
         if (kv.first == key) {
             kv.second = std::move(v);
-            return;
+            return false;
         }
     }
     obj.emplace_back(key, std::move(v));
+    return true;
 }
 
 bool
@@ -292,6 +293,10 @@ Json::operator==(const Json &o) const
 namespace
 {
 
+/** Deepest array/object nesting the parser accepts: far beyond any
+ *  document the tools write, far short of the stack. */
+constexpr int maxParseDepth = 512;
+
 /** Recursive-descent parser over a string view + cursor. */
 class Parser
 {
@@ -320,8 +325,14 @@ class Parser
     void
     fail(const std::string &what)
     {
+        failAt(pos, what);
+    }
+
+    void
+    failAt(std::size_t offset, const std::string &what)
+    {
         if (!failed && err)
-            *err = what + " at offset " + std::to_string(pos);
+            *err = what + " at offset " + std::to_string(offset);
         failed = true;
     }
 
@@ -364,6 +375,10 @@ class Parser
             return Json();
         }
         char c = src[pos];
+        if ((c == '{' || c == '[') && depth == maxParseDepth) {
+            fail("nesting deeper than " + std::to_string(maxParseDepth));
+            return Json();
+        }
         if (c == '{')
             return object();
         if (c == '[')
@@ -387,22 +402,29 @@ class Parser
     {
         Json out = Json::object();
         consume('{');
+        ++depth;
         skipWs();
-        if (consume('}'))
+        if (consume('}')) {
+            --depth;
             return out;
+        }
         while (!failed) {
             skipWs();
             if (pos >= src.size() || src[pos] != '"') {
                 fail("expected object key");
                 break;
             }
+            std::size_t key_at = pos;
             std::string key = string();
             skipWs();
             if (!consume(':')) {
                 fail("expected ':' after key");
                 break;
             }
-            out.set(key, value());
+            if (!out.set(key, value())) {
+                failAt(key_at, "duplicate key '" + key + "'");
+                break;
+            }
             skipWs();
             if (consume(','))
                 continue;
@@ -410,6 +432,7 @@ class Parser
                 break;
             fail("expected ',' or '}' in object");
         }
+        --depth;
         return out;
     }
 
@@ -418,9 +441,12 @@ class Parser
     {
         Json out = Json::array();
         consume('[');
+        ++depth;
         skipWs();
-        if (consume(']'))
+        if (consume(']')) {
+            --depth;
             return out;
+        }
         while (!failed) {
             out.push(value());
             skipWs();
@@ -430,6 +456,7 @@ class Parser
                 break;
             fail("expected ',' or ']' in array");
         }
+        --depth;
         return out;
     }
 
@@ -532,7 +559,11 @@ class Parser
         char *end = nullptr;
         double d = std::strtod(tok.c_str(), &end);
         if (end == tok.c_str() || *end != '\0') {
-            fail("malformed number");
+            failAt(start, "malformed number");
+            return Json();
+        }
+        if (!std::isfinite(d)) {
+            failAt(start, "number overflows a double");
             return Json();
         }
         return Json(d);
@@ -541,6 +572,7 @@ class Parser
     const std::string &src;
     std::string *err;
     std::size_t pos = 0;
+    int depth = 0;
     bool failed = false;
 };
 

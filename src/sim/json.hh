@@ -72,8 +72,9 @@ class Json
     std::size_t size() const;
     const Json &at(std::size_t i) const;
 
-    /** Object access. `set` replaces an existing key in place. */
-    void set(const std::string &key, Json v);
+    /** Object access. `set` replaces an existing key in place and
+     *  returns false, or appends a new key and returns true. */
+    bool set(const std::string &key, Json v);
     bool has(const std::string &key) const;
     /** Fatal if the key is absent. */
     const Json &at(const std::string &key) const;
@@ -87,7 +88,10 @@ class Json
     /**
      * Parse a complete JSON document. On malformed input returns null
      * and, when `error` is given, stores a description with the byte
-     * offset.
+     * offset. Input from outside the program is held to more than the
+     * grammar: arrays/objects nested more than 512 deep, a number
+     * that overflows a double and a key repeated within one object
+     * are errors too.
      */
     static Json parse(const std::string &text,
                       std::string *error = nullptr);

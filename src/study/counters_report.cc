@@ -11,14 +11,6 @@ namespace aosd
 
 std::vector<CountedPrimitiveRun>
 countAllPrimitives(const std::vector<MachineDesc> &machines,
-                   unsigned reps)
-{
-    ParallelRunner serial(1);
-    return countAllPrimitives(machines, reps, serial);
-}
-
-std::vector<CountedPrimitiveRun>
-countAllPrimitives(const std::vector<MachineDesc> &machines,
                    unsigned reps, ParallelRunner &runner)
 {
     std::vector<std::function<CountedPrimitiveRun()>> tasks;

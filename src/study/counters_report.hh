@@ -24,13 +24,9 @@ namespace aosd
 
 class ParallelRunner;
 
-/** All counted runs for `machines` (every primitive, `reps` each). */
-std::vector<CountedPrimitiveRun>
-countAllPrimitives(const std::vector<MachineDesc> &machines,
-                   unsigned reps);
-
-/** The same grid with one (machine, primitive) session per runner
- *  job; runs come back machine-major as always (task-index merge). */
+/** All counted runs for `machines` (every primitive, `reps` each),
+ *  one (machine, primitive) session per runner job; runs come back
+ *  machine-major (task-index merge). */
 std::vector<CountedPrimitiveRun>
 countAllPrimitives(const std::vector<MachineDesc> &machines,
                    unsigned reps, ParallelRunner &runner);

@@ -1324,8 +1324,8 @@ historyHtml(const DashboardInputs &in, const DashboardOptions &opts,
                 fmtNum(static_cast<double>(suppressed)) +
                 " more metric(s) not shown (cap " +
                 fmtNum(static_cast<double>(opts.historyCap)) +
-                "); <code>aosd_trend html</code> renders the full "
-                "list.</p>\n";
+                "); <code>--metrics-cap 0</code> lists them "
+                "all.</p>\n";
 
     html += pageClose();
     return html;

@@ -80,8 +80,8 @@ struct DashboardOptions
     std::size_t historyLast = 50;
     /** Flags annotated with a bisect explanation, largest first. */
     std::size_t topFlags = 20;
-    /** Per-metric sparkline rows on the history page; the full list
-     *  is aosd_trend html's job. 0 = unlimited. */
+    /** Per-metric sparkline rows on the history page.
+     *  0 = unlimited. */
     std::size_t historyCap = 400;
     /** Substring filter/skip lists for history metrics (comma-
      *  separated, same semantics as aosd_trend). */

@@ -38,13 +38,6 @@ fig(std::string table, std::string id, std::string unit, double sim,
 } // namespace
 
 std::vector<Figure>
-table1Figures()
-{
-    ParallelRunner serial(1);
-    return table1Figures(serial);
-}
-
-std::vector<Figure>
 table1Figures(ParallelRunner & /* cells are cheap db reads */)
 {
     const MachineId machines[] = {MachineId::CVAX, MachineId::M88000,
@@ -75,13 +68,6 @@ table1Figures(ParallelRunner & /* cells are cheap db reads */)
 }
 
 std::vector<Figure>
-table2Figures()
-{
-    ParallelRunner serial(1);
-    return table2Figures(serial);
-}
-
-std::vector<Figure>
 table2Figures(ParallelRunner & /* cells are cheap db reads */)
 {
     const MachineId machines[] = {MachineId::CVAX, MachineId::M88000,
@@ -104,13 +90,6 @@ table2Figures(ParallelRunner & /* cells are cheap db reads */)
         }
     }
     return out;
-}
-
-std::vector<Figure>
-table3Figures()
-{
-    ParallelRunner serial(1);
-    return table3Figures(serial);
 }
 
 std::vector<Figure>
@@ -142,13 +121,6 @@ table3Figures(ParallelRunner & /* cells are cheap db reads */)
     out.push_back(fig("table3", "wire_share_1500b.CVAX", "percent",
                       large.percent(large.wireUs), 50.0));
     return out;
-}
-
-std::vector<Figure>
-table4Figures()
-{
-    ParallelRunner serial(1);
-    return table4Figures(serial);
 }
 
 std::vector<Figure>
@@ -201,13 +173,6 @@ table4Figures(ParallelRunner &runner)
 }
 
 std::vector<Figure>
-table5Figures()
-{
-    ParallelRunner serial(1);
-    return table5Figures(serial);
-}
-
-std::vector<Figure>
 table5Figures(ParallelRunner &runner)
 {
     // The paper decomposes CVAX, R2000 and SPARC; the other Table 1
@@ -241,13 +206,6 @@ table5Figures(ParallelRunner &runner)
                           paper < 0 ? std::nan("") : paper));
     }
     return out;
-}
-
-std::vector<Figure>
-table6Figures()
-{
-    ParallelRunner serial(1);
-    return table6Figures(serial);
 }
 
 std::vector<Figure>
@@ -336,13 +294,6 @@ table7RowFigures(std::vector<Figure> &out, const Table7Row &r)
 } // namespace
 
 std::vector<Figure>
-table7Figures()
-{
-    ParallelRunner serial(1);
-    return table7Figures(serial);
-}
-
-std::vector<Figure>
 table7Figures(ParallelRunner &runner)
 {
     std::vector<Figure> out;
@@ -350,13 +301,6 @@ table7Figures(ParallelRunner &runner)
          Study::machStudy(MachineId::R3000, runner))
         table7RowFigures(out, r);
     return out;
-}
-
-std::vector<Figure>
-headlineFigures()
-{
-    ParallelRunner serial(1);
-    return headlineFigures(serial);
 }
 
 std::vector<Figure>
@@ -443,13 +387,6 @@ headlineFigures(ParallelRunner &runner)
 }
 
 std::vector<Figure>
-countersFigures()
-{
-    ParallelRunner serial(1);
-    return countersFigures(serial);
-}
-
-std::vector<Figure>
 countersFigures(ParallelRunner &runner)
 {
     // One counted session per (machine, primitive) cell; each cell
@@ -477,13 +414,6 @@ countersFigures(ParallelRunner &runner)
 }
 
 std::vector<Figure>
-kernelWindowFigures()
-{
-    ParallelRunner serial(1);
-    return kernelWindowFigures(serial);
-}
-
-std::vector<Figure>
 kernelWindowFigures(ParallelRunner &runner)
 {
     // The Table 7 grid again, this time with each cell reconciling
@@ -504,13 +434,6 @@ kernelWindowFigures(ParallelRunner &runner)
                           "percent", r.kernelWindow.explainedPct()));
     }
     return out;
-}
-
-std::vector<Figure>
-calibrationFigures()
-{
-    ParallelRunner serial(1);
-    return calibrationFigures(serial);
 }
 
 namespace
@@ -620,13 +543,6 @@ calibrationFigures(ParallelRunner &runner)
                       "window_spills_per_context_switch.SPARC", "x",
                       vals[i++]));
     return out;
-}
-
-std::vector<Figure>
-allFigures()
-{
-    ParallelRunner serial(1);
-    return allFigures(serial);
 }
 
 std::vector<Figure>

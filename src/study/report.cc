@@ -86,12 +86,6 @@ buildReport(const std::vector<Figure> &figures)
 }
 
 Json
-buildReport()
-{
-    return buildReport(allFigures());
-}
-
-Json
 buildReport(ParallelRunner &runner)
 {
     return buildReport(allFigures(runner));

@@ -50,9 +50,6 @@ Json figureToJson(const Figure &f);
 /** Group figures by table into the full report document. */
 Json buildReport(const std::vector<Figure> &figures);
 
-/** buildReport(allFigures()). */
-Json buildReport();
-
 class ParallelRunner;
 
 /** buildReport(allFigures(runner)) — the same document, with the

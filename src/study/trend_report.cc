@@ -6,8 +6,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "study/dashboard/html.hh"
-
 namespace aosd
 {
 
@@ -541,116 +539,6 @@ checkTrends(const PerfDb &db, double relTol,
                   return a.metric < b.metric;
               });
     return result;
-}
-
-std::string
-renderTrendHtml(const PerfDb &db, double relTol,
-                std::size_t baselineWindow, const std::string &filter,
-                const std::string &skip, std::size_t last)
-{
-    auto table = buildMetricTable(db);
-    TrendCheckResult check =
-        checkTrends(db, relTol, baselineWindow, filter, skip);
-    std::set<std::string> flagged;
-    for (const TrendFlag &f : check.flags)
-        flagged.insert(f.metric);
-
-    std::string html =
-        "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n"
-        "<title>aosd perf trends</title>\n<style>\n"
-        "body{font:14px/1.4 system-ui,sans-serif;margin:2em;"
-        "color:#222}\n"
-        "table{border-collapse:collapse;width:100%}\n"
-        "th,td{padding:3px 10px;text-align:left;"
-        "border-bottom:1px solid #eee;font-variant-numeric:"
-        "tabular-nums}\n"
-        "th{border-bottom:2px solid #888}\n"
-        "tr.flag td{background:#fdecea}\n"
-        "td.num{text-align:right}\n"
-        ".ok{color:#1e8449}.bad{color:#c0392b;font-weight:600}\n"
-        "h2{margin-top:2em}\ncode{background:#f4f4f4;"
-        "padding:0 3px}\n</style></head><body>\n";
-    html += "<h1>aosd perf trends</h1>\n";
-    html += "<p>" + std::to_string(db.size()) + " record(s)";
-    if (!db.empty())
-        html += ", newest <code>" +
-                htmlEscape(db.at(db.size() - 1).id()) + "</code>";
-    html += "; band: max(" + fmtNum(100.0 * relTol) +
-            "% of rolling median, 3&times;MAD) over up to " +
-            std::to_string(baselineWindow) + " prior runs; " +
-            std::to_string(check.flags.size()) +
-            " metric(s) flagged.</p>\n";
-
-    // Flagged metrics first, as their own table.
-    if (!check.flags.empty()) {
-        html += "<h2>Flagged</h2>\n<table>\n<tr><th>metric</th>"
-                "<th>trend</th><th>median</th><th>latest</th>"
-                "<th>&Delta;%</th><th>pair</th></tr>\n";
-        for (const TrendFlag &f : check.flags) {
-            MetricSeries s = metricSeries(db, f.metric, last);
-            std::vector<double> values;
-            for (const MetricPoint &p : s.points)
-                values.push_back(p.value);
-            html += "<tr class=\"flag\"><td><code>" +
-                    htmlEscape(f.metric) + "</code></td><td>" +
-                    sparklineSvg(values, true) +
-                    "</td><td class=\"num\">" + fmtNum(f.median) +
-                    "</td><td class=\"num bad\">" + fmtNum(f.latest) +
-                    "</td><td class=\"num bad\">" +
-                    fmtNum(f.pctChange) + "%</td><td><code>" +
-                    htmlEscape(f.fromId) + "</code> &rarr; <code>" +
-                    htmlEscape(f.toId) + "</code></td></tr>\n";
-        }
-        html += "</table>\n";
-    }
-
-    // Every selected metric, grouped by top-level document.
-    std::string group;
-    bool table_open = false;
-    for (const std::string &metric : allMetrics(db)) {
-        if (!metricSelected(metric, filter, skip))
-            continue;
-        std::vector<double> values;
-        for (auto &row : table) {
-            auto it = row.find(metric);
-            if (it != row.end())
-                values.push_back(it->second);
-        }
-        if (values.empty())
-            continue;
-        if (last > 0 && values.size() > last)
-            values.erase(values.begin(),
-                         values.end() -
-                             static_cast<std::ptrdiff_t>(last));
-        std::string g = metric.substr(0, metric.find('.'));
-        if (g != group) {
-            if (table_open)
-                html += "</table>\n";
-            group = g;
-            html += "<h2>" + htmlEscape(group) +
-                    "</h2>\n<table>\n<tr><th>metric</th>"
-                    "<th>trend</th><th>n</th><th>median</th>"
-                    "<th>latest</th><th>&Delta;%</th>"
-                    "<th>status</th></tr>\n";
-            table_open = true;
-        }
-        RollingStats s = rollingStats(values, baselineWindow);
-        bool bad = flagged.count(metric) > 0;
-        html += std::string("<tr") + (bad ? " class=\"flag\"" : "") +
-                "><td><code>" + htmlEscape(metric) +
-                "</code></td><td>" + sparklineSvg(values, bad) +
-                "</td><td class=\"num\">" +
-                std::to_string(values.size()) +
-                "</td><td class=\"num\">" + fmtNum(s.median) +
-                "</td><td class=\"num\">" + fmtNum(s.latest) +
-                "</td><td class=\"num\">" + fmtNum(s.pctChange) +
-                "%</td><td class=\"" + (bad ? "bad" : "ok") + "\">" +
-                (bad ? "FLAGGED" : "ok") + "</td></tr>\n";
-    }
-    if (table_open)
-        html += "</table>\n";
-    html += "</body></html>\n";
-    return html;
 }
 
 } // namespace aosd

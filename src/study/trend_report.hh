@@ -1,8 +1,8 @@
 /**
  * @file
  * The trend layer over the perf database: record building, metric
- * extraction, rolling statistics, the regression band and the static
- * HTML dashboard.
+ * extraction, rolling statistics and the regression band (the
+ * dashboard's history page renders them).
  *
  * sim/perfdb stores runs; this module makes them comparable. Every
  * stored document is flattened to stable dotted metric paths (the same
@@ -185,14 +185,6 @@ TrendCheckResult checkTrends(const PerfDb &db, double relTol,
                              std::size_t baselineWindow,
                              const std::string &filter = "",
                              const std::string &skip = "");
-
-/** Render the static dashboard: one sparkline trend row per metric,
- *  flagged rows highlighted. Same filter semantics as checkTrends. */
-std::string renderTrendHtml(const PerfDb &db, double relTol,
-                            std::size_t baselineWindow,
-                            const std::string &filter = "",
-                            const std::string &skip = "",
-                            std::size_t last = 50);
 
 } // namespace aosd
 

@@ -110,7 +110,6 @@ runMix(MachineId mid, std::uint64_t total_events, std::uint64_t seed,
 
 TEST_F(BatchTest, ToggleDefaultsOnAndRuntimeSetterWorks)
 {
-    EXPECT_TRUE(batchCompiledIn);
     EXPECT_TRUE(batchEnabled());
     setBatchEnabled(false);
     EXPECT_FALSE(batchEnabled());

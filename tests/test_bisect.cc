@@ -36,8 +36,9 @@ class BisectTest : public ::testing::Test
     Json
     countersDocFor(const MachineDesc &machine)
     {
+        ParallelRunner serial(1);
         std::vector<CountedPrimitiveRun> runs =
-            countAllPrimitives({machine}, 4);
+            countAllPrimitives({machine}, 4, serial);
         return buildCountersDoc(runs, 4);
     }
 };

@@ -28,6 +28,7 @@
 #include "os/kernel/kernel.hh"
 #include "sim/counters/counters.hh"
 #include "sim/counters/reconcile.hh"
+#include "sim/parallel/parallel_runner.hh"
 #include "sim/trace.hh"
 #include "study/counters_report.hh"
 #include "study/perfdiff.hh"
@@ -449,9 +450,9 @@ TEST_F(CountersTest, GoldenCountersMatchSnapshot)
 
     unsigned reps = static_cast<unsigned>(
         expected.at("repetitions").asUint());
-    Json actual =
-        buildCountersDoc(countAllPrimitives(table1Machines(), reps),
-                         reps);
+    ParallelRunner serial(1);
+    Json actual = buildCountersDoc(
+        countAllPrimitives(table1Machines(), reps, serial), reps);
 
     PerfDiff diff = diffPerfDocs(expected, actual, 0.05);
     EXPECT_GT(diff.compared, 0u);

@@ -229,11 +229,12 @@ TEST_F(DashboardTest, HistoryAnnotatesFlagsWithBisectFindings)
     MachineDesc ablated = base;
     ablated.timing.trapEnterCycles += 40;
 
+    ParallelRunner serial(1);
     std::vector<CountedPrimitiveRun> healthy_runs =
-        countAllPrimitives({base}, 4);
+        countAllPrimitives({base}, 4, serial);
     Json healthy = buildCountersDoc(healthy_runs, 4);
     std::vector<CountedPrimitiveRun> regressed_runs =
-        countAllPrimitives({ablated}, 4);
+        countAllPrimitives({ablated}, 4, serial);
     Json regressed = buildCountersDoc(regressed_runs, 4);
 
     PerfDb db;

@@ -26,6 +26,14 @@ struct NamedFactory
     Factory make;
 };
 
+// Without this gtest prints the parameter's raw bytes (pointers), so the
+// listed test names would change with every load address.
+void
+PrintTo(const NamedFactory &factory, std::ostream *os)
+{
+    *os << factory.name;
+}
+
 const NamedFactory factories[] = {
     {"linear", [] { return makeLinearPageTable((1ULL << 20) - 1); }},
     {"multilevel", [] { return makeMultiLevelPageTable(); }},

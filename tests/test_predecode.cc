@@ -6,9 +6,8 @@
  * cycles, instructions, per-phase breakdowns, hardware-counter
  * bumps, profiler attribution, and whole-workload kernel runs —
  * across every machine, primitive, and architecture-fix variant.
- * The same suite runs (and must pass) on a compiled-out
- * (-DAOSD_DISABLE_PREDECODE=ON) build, where predecodeEnabled() is
- * constant false and every dispatch takes the interpreter.
+ * The same suite runs (and must pass) under AOSD_NO_PREDECODE=1,
+ * where every dispatch starts on the interpreter.
  */
 
 #include <gtest/gtest.h>
@@ -292,18 +291,12 @@ TEST_F(PredecodeTest, WorkloadRunIdenticalWithPredecodeOff)
 
 // ---- the switch itself --------------------------------------------
 
-TEST_F(PredecodeTest, ToggleOnlyActsWhenCompiledIn)
+TEST_F(PredecodeTest, RuntimeToggleSelectsThePath)
 {
-    if (predecodeCompiledIn()) {
-        EXPECT_TRUE(predecodeEnabled());
-        setPredecodeEnabled(false);
-        EXPECT_FALSE(predecodeEnabled());
-        setPredecodeEnabled(true);
-        EXPECT_TRUE(predecodeEnabled());
-    } else {
-        setPredecodeEnabled(true);
-        EXPECT_FALSE(predecodeEnabled());
-    }
+    setPredecodeEnabled(false);
+    EXPECT_FALSE(predecodeEnabled());
+    setPredecodeEnabled(true);
+    EXPECT_TRUE(predecodeEnabled());
 }
 
 } // namespace

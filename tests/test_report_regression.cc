@@ -18,6 +18,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "sim/parallel/parallel_runner.hh"
 #include "study/report.hh"
 
 using namespace aosd;
@@ -56,7 +57,8 @@ TEST(ReportRegression, EveryFigureMatchesSnapshot)
     if (expected.isNull())
         GTEST_SKIP() << "snapshot unreadable (failures above)";
 
-    Json actual = buildReport();
+    ParallelRunner serial(1);
+    Json actual = buildReport(serial);
     std::vector<std::string> problems = diffReports(expected, actual);
     for (const std::string &p : problems)
         ADD_FAILURE() << p;
@@ -85,12 +87,13 @@ TEST(ReportRegression, DiffDetectsDrift)
 {
     // The gate must actually fire: perturb one figure and expect a
     // report.
-    Json report = buildReport();
+    ParallelRunner serial(1);
+    std::vector<Figure> figs = allFigures(serial);
+    Json report = buildReport(figs);
     std::string doc = report.dump();
     Json same = Json::parse(doc);
     EXPECT_TRUE(diffReports(report, same).empty());
 
-    std::vector<Figure> figs = allFigures();
     ASSERT_FALSE(figs.empty());
     figs.front().sim *= 1.01; // 1% drift, far beyond tolerance
     Json drifted = buildReport(figs);
@@ -101,7 +104,8 @@ TEST(ReportRegression, DiffDetectsDrift)
 
 TEST(ReportRegression, DiffDetectsMissingAndNewFigures)
 {
-    std::vector<Figure> figs = allFigures();
+    ParallelRunner serial(1);
+    std::vector<Figure> figs = allFigures(serial);
     std::vector<Figure> fewer(figs.begin(), figs.end() - 1);
     Json full = buildReport(figs);
     Json partial = buildReport(fewer);

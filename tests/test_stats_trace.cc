@@ -64,14 +64,25 @@ TEST(JsonTest, DumpParseRoundTrip)
 
 TEST(JsonTest, ParseRejectsMalformedInput)
 {
-    for (const char *bad :
-         {"", "{", "[1,", "{\"a\":}", "tru", "\"unterminated",
-          "{\"a\":1}garbage", "[1 2]"}) {
+    // Hostile input too: nesting deep enough to overflow the stack, a
+    // number that overflows a double, and a repeated key.
+    const std::string deep =
+        std::string(200000, '[') + std::string(200000, ']');
+    for (const std::string &bad :
+         {std::string(""), std::string("{"), std::string("[1,"),
+          std::string("{\"a\":}"), std::string("tru"),
+          std::string("\"unterminated"),
+          std::string("{\"a\":1}garbage"), std::string("[1 2]"), deep,
+          std::string("1e999999"), std::string("{\"a\":1,\"a\":5}")}) {
         std::string err;
         Json v = Json::parse(bad, &err);
-        EXPECT_TRUE(v.isNull()) << bad;
-        EXPECT_FALSE(err.empty()) << bad;
+        EXPECT_TRUE(v.isNull()) << bad.substr(0, 40);
+        EXPECT_NE(err.find(" at offset "), std::string::npos)
+            << bad.substr(0, 40) << ": " << err;
     }
+    std::string err;
+    Json::parse("{\"a\":1,\"a\":5}", &err);
+    EXPECT_EQ(err, "duplicate key 'a' at offset 7");
 }
 
 TEST(JsonTest, ObjectPreservesInsertionOrder)

@@ -9,6 +9,7 @@
 
 #include "core/study.hh"
 #include "cpu/primitive_costs.hh"
+#include "sim/parallel/parallel_runner.hh"
 #include "arch/machines.hh"
 
 namespace aosd
@@ -41,10 +42,12 @@ TEST(Study, PrimitivesMatchCostDb)
 TEST(Study, SyscallAnatomySumsToSyscallTime)
 {
     const PrimitiveCostDb &db = sharedCostDb();
+    ParallelRunner serial(1);
+    const auto rows = Study::syscallAnatomy(serial);
     for (MachineId id :
          {MachineId::CVAX, MachineId::R2000, MachineId::SPARC}) {
         double total = 0;
-        for (const auto &r : Study::syscallAnatomy())
+        for (const auto &r : rows)
             if (r.machine == id)
                 total += r.simMicros;
         EXPECT_NEAR(total, db.micros(id, Primitive::NullSyscall), 0.01)
@@ -84,7 +87,8 @@ TEST(Study, LrpcDefaultsToCvax)
 
 TEST(Study, MachStudyProducesFourteenRows)
 {
-    auto rows = Study::machStudy();
+    ParallelRunner serial(1);
+    auto rows = Study::machStudy(MachineId::R3000, serial);
     EXPECT_EQ(rows.size(), 14u);
     int mono = 0, micro = 0;
     for (const auto &r : rows) {

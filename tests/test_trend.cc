@@ -75,8 +75,9 @@ class TrendTest : public ::testing::Test
     Json
     countersDocFor(const MachineDesc &machine, unsigned reps = 4)
     {
+        ParallelRunner serial(1);
         std::vector<CountedPrimitiveRun> runs =
-            countAllPrimitives({machine}, reps);
+            countAllPrimitives({machine}, reps, serial);
         return buildCountersDoc(runs, reps);
     }
 };
@@ -332,26 +333,6 @@ TEST_F(TrendTest, CommittedBaselinesLoadAndMatchTheSimulator)
     EXPECT_TRUE(r.ok()) << (r.flags.empty()
                                 ? ""
                                 : r.flags[0].metric);
-}
-
-TEST_F(TrendTest, HtmlDashboardRendersSparklinesAndFlags)
-{
-    PerfDb db = dbWithSeries({100, 100, 100, 100, 150});
-    std::string html = renderTrendHtml(db, 0.05, 20);
-    EXPECT_NE(html.find("<!doctype html>"), std::string::npos);
-    EXPECT_NE(html.find("<svg"), std::string::npos);
-    EXPECT_NE(html.find("report.t.m.M"), std::string::npos);
-    EXPECT_NE(html.find("FLAGGED"), std::string::npos);
-    EXPECT_NE(html.find("c4@t4"), std::string::npos);
-
-    // Identical inputs render identical bytes (the dashboard is a CI
-    // artifact; determinism keeps it diffable).
-    EXPECT_EQ(html, renderTrendHtml(db, 0.05, 20));
-
-    PerfDb flat = dbWithSeries({100, 100, 100});
-    std::string ok_html = renderTrendHtml(flat, 0.05, 20);
-    EXPECT_EQ(ok_html.find("FLAGGED"), std::string::npos);
-    EXPECT_NE(ok_html.find(">ok<"), std::string::npos);
 }
 
 TEST_F(TrendTest, AllEqualSeriesHasZeroMadAndNeverFlags)

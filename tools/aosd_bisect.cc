@@ -33,12 +33,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <vector>
 
+#include "sim/cli.hh"
 #include "sim/json.hh"
 #include "sim/perfdb/perfdb.hh"
 #include "study/bisect.hh"
@@ -47,46 +45,6 @@ using namespace aosd;
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--top N] [--json path] old.json new.json\n"
-        "       %s [--top N] [--json path] --db perfdb.jsonl\n"
-        "          --from REF --to REF [--doc NAME]\n"
-        "  --top N      print at most N findings (default 10,\n"
-        "               0 = all)\n"
-        "  --json path  also write the full ranked explanation as "
-        "JSON\n"
-        "  --db path    read the pair from a perf database\n"
-        "  --from/--to  record id, commit (or unique prefix),\n"
-        "               'latest', or -N (N runs back)\n"
-        "  --doc NAME   stored document to bisect (default:\n"
-        "               counters, else kernel_windows, else report)\n"
-        "accepts counters.json, kernel-windows or report.json pairs\n",
-        argv0, argv0);
-}
-
-bool
-loadJson(const char *path, Json &out)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read %s\n", path);
-        return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    out = Json::parse(buf.str(), &error);
-    if (out.isNull() && !error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", path, error.c_str());
-        return false;
-    }
-    return true;
-}
 
 const char *
 docMode(const Json &doc)
@@ -108,49 +66,38 @@ main(int argc, char **argv)
     std::size_t top = 10;
     std::string json_path;
     std::string db_path, from_ref, to_ref, doc_name;
-    const char *old_path = nullptr;
-    const char *new_path = nullptr;
+    std::vector<std::string> paths;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--top") {
-            top = static_cast<std::size_t>(std::atoi(value()));
-        } else if (arg == "--json") {
-            json_path = value();
-        } else if (arg == "--db") {
-            db_path = value();
-        } else if (arg == "--from") {
-            from_ref = value();
-        } else if (arg == "--to") {
-            to_ref = value();
-        } else if (arg == "--doc") {
-            doc_name = value();
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (!old_path) {
-            old_path = argv[i];
-        } else if (!new_path) {
-            new_path = argv[i];
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    Cli cli("aosd_bisect",
+            "[options] old.json new.json\n"
+            "       aosd_bisect [options] --db perfdb.jsonl --from REF "
+            "--to REF",
+            "accepts counters.json, kernel-windows or report.json "
+            "pairs\n");
+    cli.option("--top", "N", top,
+               "print at most N findings (default 10, 0 = all)");
+    cli.option("--json", "path", json_path,
+               "also write the full ranked explanation as JSON");
+    cli.option("--db", "path", db_path,
+               "read the pair from a perf database");
+    cli.option("--from", "REF", from_ref,
+               "record id, commit (or unique prefix), 'latest', or\n"
+               "-N (N runs back)");
+    cli.option("--to", "REF", to_ref, "as --from");
+    cli.option("--doc", "NAME", doc_name,
+               "stored document to bisect (default: counters, else\n"
+               "kernel_windows, else report)");
+    cli.positionals(paths);
+    cli.parseOrExit(argc, argv);
 
     bool db_mode = !db_path.empty();
-    if (db_mode ? (old_path || from_ref.empty() || to_ref.empty())
-                : (!old_path || !new_path)) {
-        usage(argv[0]);
-        return 2;
-    }
+    if (db_mode && !paths.empty())
+        cli.fail("--db takes no document paths");
+    if (db_mode && (from_ref.empty() || to_ref.empty()))
+        cli.fail("--db needs --from and --to");
+    if (!db_mode && paths.size() != 2)
+        cli.fail("expected old.json and new.json, got " +
+                 std::to_string(paths.size()) + " path(s)");
 
     Json old_doc, new_doc;
     std::string pair_label;
@@ -160,17 +107,17 @@ main(int argc, char **argv)
         if (!db.load(db_path, &error)) {
             std::fprintf(stderr, "%s: %s\n", db_path.c_str(),
                          error.c_str());
-            return 2;
+            return exitError;
         }
         const PerfDbRecord *from = db.resolve(from_ref, &error);
         if (!from) {
             std::fprintf(stderr, "--from %s\n", error.c_str());
-            return 2;
+            return exitError;
         }
         const PerfDbRecord *to = db.resolve(to_ref, &error);
         if (!to) {
             std::fprintf(stderr, "--to %s\n", error.c_str());
-            return 2;
+            return exitError;
         }
         if (doc_name.empty()) {
             // The richest shared document wins: counters cells carry
@@ -187,7 +134,7 @@ main(int argc, char **argv)
                              "records %s and %s share no counters/"
                              "kernel_windows/report document\n",
                              from->id().c_str(), to->id().c_str());
-                return 2;
+                return exitError;
             }
         }
         const Json *od = from->doc(doc_name);
@@ -197,29 +144,22 @@ main(int argc, char **argv)
                          "document '%s' is missing from %s\n",
                          doc_name.c_str(),
                          (od ? to->id() : from->id()).c_str());
-            return 2;
+            return exitError;
         }
         old_doc = *od;
         new_doc = *nd;
         pair_label = doc_name + " of " + from->id() + " -> " +
                      to->id();
-    } else if (!loadJson(old_path, old_doc) ||
-               !loadJson(new_path, new_doc)) {
-        return 2;
+    } else if (!loadJsonFile(paths[0], old_doc) ||
+               !loadJsonFile(paths[1], new_doc)) {
+        return exitError;
     }
 
     BisectResult r = bisectDocs(old_doc, new_doc);
     const char *mode = docMode(new_doc);
 
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "cannot open %s for writing\n",
-                         json_path.c_str());
-            return 2;
-        }
-        out << r.toJson().dump(1);
-    }
+    if (!json_path.empty() && !writeFile(json_path, r.toJson().dump(1)))
+        return exitError;
 
     if (!pair_label.empty())
         std::printf("aosd_bisect: %s\n", pair_label.c_str());

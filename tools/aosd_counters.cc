@@ -29,117 +29,47 @@
  * src/study/counters_report.hh and docs/EXPERIMENTS.md.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "arch/machines.hh"
-#include "cpu/decoded_program.hh"
+#include "sim/cli.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "study/counters_report.hh"
 
 using namespace aosd;
-
-namespace
-{
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--json path] [--reps N] [--machines SLUG[,...]]\n"
-        "          [--min-explained PCT] [--jobs N] [--no-predecode]\n"
-        "  --json path         write counters.json\n"
-        "  --reps N            repetitions per primitive (default 16)\n"
-        "  --machines list     comma-separated machine slugs\n"
-        "                      (default: the five Table 1 machines)\n"
-        "  --min-explained P   fail below P%% explained (default 95)\n"
-        "  --jobs N            worker threads (default: all cores;\n"
-        "                      1 = serial; output is identical either "
-        "way)\n"
-        "  --kernel-windows    reconcile Table 7 workload windows\n"
-        "                      (one machine; default R3000)\n"
-        "  --no-predecode      interpret handler programs per event\n"
-        "                      (slow reference path; identical "
-        "output)\n",
-        argv0);
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     path.c_str());
-        return false;
-    }
-    out << content;
-    return true;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     std::string json_path;
     unsigned reps = 16;
-    unsigned jobs = ParallelRunner::defaultJobs();
+    unsigned jobs = 0;
     double min_explained = 95.0;
     bool kernel_windows = false;
-    std::vector<MachineDesc> machines;
+    std::vector<MachineId> machine_ids;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--json") {
-            json_path = value();
-        } else if (arg == "--reps") {
-            reps = static_cast<unsigned>(std::atoi(value()));
-            if (reps == 0)
-                reps = 1;
-        } else if (arg == "--min-explained") {
-            min_explained = std::atof(value());
-        } else if (arg == "--kernel-windows") {
-            kernel_windows = true;
-        } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::atoi(value()));
-            if (jobs == 0)
-                jobs = ParallelRunner::defaultJobs();
-        } else if (arg == "--machines") {
-            std::string list = value();
-            std::size_t pos = 0;
-            while (pos <= list.size()) {
-                std::size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                std::string slug = list.substr(pos, comma - pos);
-                if (!slug.empty())
-                    machines.push_back(
-                        makeMachine(machineFromSlug(slug)));
-                pos = comma + 1;
-            }
-        } else if (arg == "--no-predecode") {
-            setPredecodeEnabled(false);
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    Cli cli("aosd_counters");
+    cli.option("--json", "path", json_path, "write counters.json");
+    cli.option("--reps", "N", reps,
+               "repetitions per primitive (default 16; 0 = 1)");
+    cli.option("--machines", "CSV", machine_ids,
+               "machine slugs (default: the five Table 1 machines)");
+    cli.option("--min-explained", "PCT", min_explained,
+               "fail below PCT% explained (default 95)", 0.0, 100.0);
+    cli.flag("--kernel-windows", kernel_windows,
+             "reconcile Table 7 workload windows (one machine;\n"
+             "default R3000)");
+    cli.jobs(jobs);
+    cli.noPredecode();
+    cli.parseOrExit(argc, argv);
+    reps = std::max(reps, 1u);
+    std::vector<MachineDesc> machines;
+    for (MachineId id : machine_ids)
+        machines.push_back(makeMachine(id));
     ParallelRunner runner(jobs);
 
     if (kernel_windows) {
@@ -169,12 +99,9 @@ main(int argc, char **argv)
                             machineSlug(machine.id), kv.first.c_str(),
                             cycles, pct, ok ? "" : "  <-- FAILED");
         }
-        if (!json_path.empty()) {
-            if (!writeFile(json_path, doc.dump(1)))
-                return 2;
-            std::fprintf(stderr, "kernel windows -> %s\n",
-                         json_path.c_str());
-        }
+        if (!json_path.empty() &&
+            !writeOutput(json_path, doc.dump(1), "kernel windows"))
+            return exitError;
         if (window_failures) {
             std::fprintf(stderr,
                          "%d workload window(s) outside the %.0f%% "
@@ -226,12 +153,10 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    if (!json_path.empty()) {
-        Json doc = buildCountersDoc(runs, reps);
-        if (!writeFile(json_path, doc.dump(1)))
-            return 2;
-        std::fprintf(stderr, "counters -> %s\n", json_path.c_str());
-    }
+    if (!json_path.empty() &&
+        !writeOutput(json_path, buildCountersDoc(runs, reps).dump(1),
+                     "counters"))
+        return exitError;
 
     if (failed) {
         std::fprintf(stderr,

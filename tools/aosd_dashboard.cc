@@ -21,87 +21,16 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "sim/cli.hh"
+#include "sim/json.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/perfdb/perfdb.hh"
 #include "study/dashboard/dashboard.hh"
 
 using namespace aosd;
-
-namespace
-{
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s --out DIR [inputs] [options]\n"
-        "inputs (each optional; its sections render as absent):\n"
-        "  --report path          report.json (aosd_report --json)\n"
-        "  --counters path        counters.json (aosd_counters "
-        "--json)\n"
-        "  --kernel-windows path  kernel_windows.json\n"
-        "                         (aosd_counters --kernel-windows)\n"
-        "  --profile path         profile.json (aosd_profile "
-        "--json)\n"
-        "  --spans path           spans.json (aosd_spans --json)\n"
-        "  --traffic path         traffic.json (aosd_traffic "
-        "--json);\n"
-        "                         repeatable, one per sweep\n"
-        "  --db path              perfdb.jsonl (aosd_trend ingest)\n"
-        "options:\n"
-        "  --out DIR              output directory (required)\n"
-        "  --jobs N               worker threads (default: all "
-        "cores;\n"
-        "                         1 = serial; output is identical "
-        "either way)\n"
-        "  --tol F                history rolling-band relative\n"
-        "                         tolerance (default 0.05)\n"
-        "  --baseline N           history rolling-band window\n"
-        "                         (default 20)\n"
-        "  --last N               sparkline points per metric\n"
-        "                         (default 50)\n"
-        "  --metrics-cap N        per-metric rows on the history "
-        "page\n"
-        "                         (default 400; 0 = unlimited)\n"
-        "  --filter list          comma-separated substring filter "
-        "for\n"
-        "                         history metrics\n"
-        "  --skip list            comma-separated substring skip "
-        "list\n",
-        argv0);
-}
-
-/** Parse `path` as JSON into `slot`; a truncated artifact must fail
- *  loudly, never render as a half-empty site. */
-bool
-loadDoc(const std::string &path, Json &slot, bool &present)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read %s\n", path.c_str());
-        return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    slot = Json::parse(buf.str(), &error);
-    if (slot.isNull() && !error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     error.c_str());
-        return false;
-    }
-    present = true;
-    return true;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -110,140 +39,73 @@ main(int argc, char **argv)
     std::string report_path, counters_path, kw_path, profile_path,
         spans_path, db_path;
     std::vector<std::string> traffic_paths;
-    unsigned jobs = ParallelRunner::defaultJobs();
+    unsigned jobs = 0;
     DashboardOptions opts;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto takesValue = [&](std::string &dst) {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                return false;
-            }
-            dst = argv[++i];
-            return true;
-        };
-        std::string v;
-        if (arg == "--out") {
-            if (!takesValue(out_dir))
-                return 2;
-        } else if (arg == "--report") {
-            if (!takesValue(report_path))
-                return 2;
-        } else if (arg == "--counters") {
-            if (!takesValue(counters_path))
-                return 2;
-        } else if (arg == "--kernel-windows") {
-            if (!takesValue(kw_path))
-                return 2;
-        } else if (arg == "--profile") {
-            if (!takesValue(profile_path))
-                return 2;
-        } else if (arg == "--spans") {
-            if (!takesValue(spans_path))
-                return 2;
-        } else if (arg == "--traffic") {
-            if (!takesValue(v))
-                return 2;
-            traffic_paths.push_back(v);
-        } else if (arg == "--db") {
-            if (!takesValue(db_path))
-                return 2;
-        } else if (arg == "--jobs") {
-            if (!takesValue(v))
-                return 2;
-            jobs = static_cast<unsigned>(std::atoi(v.c_str()));
-            if (jobs == 0)
-                jobs = ParallelRunner::defaultJobs();
-        } else if (arg == "--tol") {
-            if (!takesValue(v))
-                return 2;
-            opts.relTol = std::atof(v.c_str());
-        } else if (arg == "--baseline") {
-            if (!takesValue(v))
-                return 2;
-            opts.baselineWindow =
-                static_cast<std::size_t>(std::atol(v.c_str()));
-        } else if (arg == "--last") {
-            if (!takesValue(v))
-                return 2;
-            opts.historyLast =
-                static_cast<std::size_t>(std::atol(v.c_str()));
-        } else if (arg == "--metrics-cap") {
-            if (!takesValue(v))
-                return 2;
-            opts.historyCap =
-                static_cast<std::size_t>(std::atol(v.c_str()));
-        } else if (arg == "--filter") {
-            if (!takesValue(opts.historyFilter))
-                return 2;
-        } else if (arg == "--skip") {
-            if (!takesValue(opts.historySkip))
-                return 2;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (out_dir.empty()) {
-        usage(argv[0]);
-        return 2;
-    }
+    Cli cli("aosd_dashboard", "--out DIR [inputs] [options]",
+            "every input is optional; a missing one renders as "
+            "absent\n");
+    cli.option("--out", "DIR", out_dir, "output directory (required)");
+    cli.option("--report", "path", report_path,
+               "report.json (aosd_report --json)");
+    cli.option("--counters", "path", counters_path,
+               "counters.json (aosd_counters --json)");
+    cli.option("--kernel-windows", "path", kw_path,
+               "kernel_windows.json (aosd_counters --kernel-windows)");
+    cli.option("--profile", "path", profile_path,
+               "profile.json (aosd_profile --json)");
+    cli.option("--spans", "path", spans_path,
+               "spans.json (aosd_spans --json)");
+    cli.option("--traffic", "path", traffic_paths,
+               "traffic.json (aosd_traffic --json); repeatable, one\n"
+               "per sweep");
+    cli.option("--db", "path", db_path, "perfdb.jsonl (aosd_trend ingest)");
+    cli.jobs(jobs);
+    cli.tolerance("--tol", opts.relTol,
+                  "history rolling-band relative tolerance, 0.05 or\n"
+                  "5% (default 0.05)");
+    cli.option("--baseline", "N", opts.baselineWindow,
+               "history rolling-band window (default 20)", 1);
+    cli.option("--last", "N", opts.historyLast,
+               "sparkline points per metric (default 50; 0 = all)");
+    cli.option("--metrics-cap", "N", opts.historyCap,
+               "per-metric rows on the history page (default 400;\n"
+               "0 = unlimited)");
+    cli.option("--filter", "list", opts.historyFilter,
+               "comma-separated substring filter for history metrics");
+    cli.option("--skip", "list", opts.historySkip,
+               "comma-separated substring skip list");
+    cli.parseOrExit(argc, argv);
+    if (out_dir.empty())
+        cli.fail("--out is required");
 
+    // A truncated artifact must fail loudly, never render as a
+    // half-empty site.
     Json report, counters, kernel_windows, profile, spans;
-    bool has_report = false, has_counters = false, has_kw = false,
-         has_profile = false, has_spans = false;
     std::vector<Json> traffic(traffic_paths.size());
-    if (!report_path.empty() &&
-        !loadDoc(report_path, report, has_report))
-        return 1;
-    if (!counters_path.empty() &&
-        !loadDoc(counters_path, counters, has_counters))
-        return 1;
-    if (!kw_path.empty() && !loadDoc(kw_path, kernel_windows, has_kw))
-        return 1;
-    if (!profile_path.empty() &&
-        !loadDoc(profile_path, profile, has_profile))
-        return 1;
-    if (!spans_path.empty() &&
-        !loadDoc(spans_path, spans, has_spans))
-        return 1;
+    DashboardInputs in;
+    if (!loadOptionalJson(report_path, report, in.report) ||
+        !loadOptionalJson(counters_path, counters, in.counters) ||
+        !loadOptionalJson(kw_path, kernel_windows, in.kernelWindows) ||
+        !loadOptionalJson(profile_path, profile, in.profile) ||
+        !loadOptionalJson(spans_path, spans, in.spans))
+        return exitError;
     for (std::size_t i = 0; i < traffic_paths.size(); ++i) {
-        bool ok = false;
-        if (!loadDoc(traffic_paths[i], traffic[i], ok))
-            return 1;
+        if (!loadJsonFile(traffic_paths[i], traffic[i]))
+            return exitError;
+        in.traffic.push_back(&traffic[i]);
     }
 
     PerfDb db;
-    bool has_db = false;
     if (!db_path.empty()) {
         std::string error;
         if (!db.load(db_path, &error)) {
             std::fprintf(stderr, "%s: %s\n", db_path.c_str(),
                          error.c_str());
-            return 1;
+            return exitError;
         }
-        has_db = true;
-    }
-
-    DashboardInputs in;
-    if (has_report)
-        in.report = &report;
-    if (has_counters)
-        in.counters = &counters;
-    if (has_kw)
-        in.kernelWindows = &kernel_windows;
-    if (has_profile)
-        in.profile = &profile;
-    if (has_spans)
-        in.spans = &spans;
-    for (const Json &t : traffic)
-        in.traffic.push_back(&t);
-    if (has_db)
         in.db = &db;
+    }
 
     ParallelRunner runner(jobs);
     DashboardSite site = buildDashboardSite(in, opts, runner);
@@ -261,7 +123,7 @@ main(int argc, char **argv)
     std::string error;
     if (!writeDashboardSite(site, out_dir, &error)) {
         std::fprintf(stderr, "%s\n", error.c_str());
-        return 1;
+        return exitError;
     }
     std::fprintf(stderr, "site -> %s (%zu pages + manifest.json)\n",
                  out_dir.c_str(), site.pages.size());

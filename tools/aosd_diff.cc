@@ -29,60 +29,17 @@
  * stdout), 2 usage or I/O error.
  */
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <limits>
 #include <string>
+#include <vector>
 
+#include "sim/cli.hh"
 #include "sim/json.hh"
 #include "study/perfdiff.hh"
 
 using namespace aosd;
-
-namespace
-{
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--tol REL] [--abs ABS] [--tol-key KEY=REL]...\n"
-        "          [--all] [--top N] old.json new.json\n"
-        "  --tol REL  relative tolerance (default 0.01 = 1%%)\n"
-        "  --abs ABS  absolute slack for near-zero values "
-        "(default 1e-9)\n"
-        "  --tol-key KEY=REL\n"
-        "             relative tolerance for leaves whose last dotted\n"
-        "             segment is KEY (e.g. 'p999=0.10'; repeatable;\n"
-        "             first match wins)\n"
-        "  --all      also print paths within tolerance\n"
-        "  --top N    print at most N regressions (0 = all, the "
-        "default)\n",
-        argv0);
-}
-
-bool
-loadJson(const char *path, Json &out)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read %s\n", path);
-        return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    out = Json::parse(buf.str(), &error);
-    if (out.isNull() && !error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", path, error.c_str());
-        return false;
-    }
-    return true;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -92,58 +49,41 @@ main(int argc, char **argv)
     KeyTolerances key_tols;
     bool show_all = false;
     std::size_t top = 0;
-    const char *old_path = nullptr;
-    const char *new_path = nullptr;
+    std::vector<std::string> paths;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--tol") {
-            rel_tol = std::atof(value());
-        } else if (arg == "--abs") {
-            abs_tol = std::atof(value());
-        } else if (arg == "--tol-key") {
-            std::string spec = value();
-            std::size_t eq = spec.find('=');
-            if (eq == std::string::npos || eq == 0 ||
-                eq + 1 >= spec.size()) {
-                std::fprintf(stderr,
-                             "--tol-key wants KEY=REL, got '%s'\n",
-                             spec.c_str());
-                return 2;
-            }
-            key_tols.emplace_back(spec.substr(0, eq),
-                                  std::atof(spec.c_str() + eq + 1));
-        } else if (arg == "--all") {
-            show_all = true;
-        } else if (arg == "--top") {
-            top = static_cast<std::size_t>(std::atoi(value()));
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (!old_path) {
-            old_path = argv[i];
-        } else if (!new_path) {
-            new_path = argv[i];
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (!old_path || !new_path) {
-        usage(argv[0]);
-        return 2;
-    }
+    Cli cli("aosd_diff", "[options] old.json new.json");
+    cli.tolerance("--tol", rel_tol,
+                  "relative tolerance, 0.05 or 5% (default 0.01)");
+    cli.option("--abs", "ABS", abs_tol,
+               "absolute slack for near-zero values (default 1e-9)",
+               0.0, std::numeric_limits<double>::max());
+    cli.option("--tol-key", "KEY=REL",
+               [&key_tols](const std::string &v) {
+                   std::string key, rel;
+                   double tol = 0.0;
+                   std::string why = Cli::splitKeyValue(v, key, rel);
+                   if (why.empty())
+                       why = Cli::parseTolerance(rel, tol);
+                   if (why.empty())
+                       key_tols.emplace_back(key, tol);
+                   return why;
+               },
+               "relative tolerance for leaves whose last dotted\n"
+               "segment is KEY (e.g. 'p999=0.10'; repeatable; first\n"
+               "match wins)");
+    cli.flag("--all", show_all, "also print paths within tolerance");
+    cli.option("--top", "N", top,
+               "print at most N regressions (0 = all, the default)");
+    cli.positionals(paths);
+    cli.parseOrExit(argc, argv);
+    if (paths.size() != 2)
+        cli.fail("expected old.json and new.json, got " +
+                 std::to_string(paths.size()) + " path(s)");
 
     Json old_doc, new_doc;
-    if (!loadJson(old_path, old_doc) || !loadJson(new_path, new_doc))
-        return 2;
+    if (!loadJsonFile(paths[0], old_doc) ||
+        !loadJsonFile(paths[1], new_doc))
+        return exitError;
 
     PerfDiff diff =
         diffPerfDocs(old_doc, new_doc, rel_tol, abs_tol, key_tols);

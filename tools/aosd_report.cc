@@ -31,18 +31,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 
-#include "cpu/decoded_program.hh"
-#include "sim/logging.hh"
+#include "sim/cli.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/stats.hh"
 #include "sim/table.hh"
 #include "sim/trace.hh"
-#include "study/figures.hh"
 #include "study/report.hh"
 #include "study/span_report.hh"
 #include "study/timeseries_report.hh"
@@ -51,48 +46,6 @@ using namespace aosd;
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--json [path]] [--trace path] [--stats path]\n"
-        "          [--timeseries path] [--spans path] [--jobs N]\n"
-        "          [--no-predecode]\n"
-        "  --json [path]  write report.json (stdout when no path)\n"
-        "  --trace path   write a chrome://tracing timeline\n"
-        "                 (forces --jobs 1)\n"
-        "  --stats path   write a StatRegistry snapshot\n"
-        "  --timeseries path\n"
-        "                 sample the workloads and write\n"
-        "                 timeseries.json (per-interval event rates)\n"
-        "  --spans path   span-trace the request study and write\n"
-        "                 spans.json (latency percentiles, slowest-\n"
-        "                 request exemplars, tail attribution)\n"
-        "  --jobs N       worker threads (default: all cores;\n"
-        "                 1 = serial; report is identical either "
-        "way)\n"
-        "  --no-predecode re-interpret every handler program per\n"
-        "                 kernel event instead of replaying the\n"
-        "                 pre-decoded superblocks (slow reference\n"
-        "                 path; output is identical — CI cmp-gates "
-        "it)\n",
-        argv0);
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     path.c_str());
-        return false;
-    }
-    out << content;
-    return true;
-}
 
 void
 printTextSummary(const Json &report)
@@ -136,56 +89,27 @@ int
 main(int argc, char **argv)
 {
     bool json_out = false;
-    std::string json_path;
-    std::string trace_path;
-    std::string stats_path;
-    std::string timeseries_path;
-    std::string spans_path;
-    unsigned jobs = ParallelRunner::defaultJobs();
+    std::string json_path, trace_path, stats_path, timeseries_path,
+        spans_path;
+    unsigned jobs = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto takesValue = [&](std::string &dst) {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                return false;
-            }
-            dst = argv[++i];
-            return true;
-        };
-        if (arg == "--json") {
-            json_out = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                json_path = argv[++i];
-        } else if (arg == "--trace") {
-            if (!takesValue(trace_path))
-                return 2;
-        } else if (arg == "--stats") {
-            if (!takesValue(stats_path))
-                return 2;
-        } else if (arg == "--timeseries") {
-            if (!takesValue(timeseries_path))
-                return 2;
-        } else if (arg == "--spans") {
-            if (!takesValue(spans_path))
-                return 2;
-        } else if (arg == "--jobs") {
-            std::string jobs_arg;
-            if (!takesValue(jobs_arg))
-                return 2;
-            jobs = static_cast<unsigned>(std::atoi(jobs_arg.c_str()));
-            if (jobs == 0)
-                jobs = ParallelRunner::defaultJobs();
-        } else if (arg == "--no-predecode") {
-            setPredecodeEnabled(false);
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    Cli cli("aosd_report");
+    cli.optionalValue("--json", "path", json_out, json_path,
+                      "write report.json (stdout when no path)");
+    cli.option("--trace", "path", trace_path,
+               "write a chrome://tracing timeline (forces --jobs 1)");
+    cli.option("--stats", "path", stats_path,
+               "write a StatRegistry snapshot");
+    cli.option("--timeseries", "path", timeseries_path,
+               "sample the workloads and write timeseries.json\n"
+               "(per-interval event rates)");
+    cli.option("--spans", "path", spans_path,
+               "span-trace the request study and write spans.json\n"
+               "(latency percentiles, slowest-request exemplars,\n"
+               "tail attribution)");
+    cli.jobs(jobs);
+    cli.noPredecode();
+    cli.parseOrExit(argc, argv);
 
     if (!trace_path.empty() && jobs != 1) {
         std::fprintf(stderr,
@@ -204,26 +128,21 @@ main(int argc, char **argv)
         runner.setCollectStats(true);
     Json report = buildReport(runner);
 
-    if (!timeseries_path.empty()) {
-        Json ts = buildTimeseriesDoc(runner);
-        if (!writeFile(timeseries_path, ts.dump(1)))
-            return 1;
-        std::fprintf(stderr, "timeseries -> %s\n",
-                     timeseries_path.c_str());
-    }
+    if (!timeseries_path.empty() &&
+        !writeOutput(timeseries_path,
+                     buildTimeseriesDoc(runner).dump(1), "timeseries"))
+        return exitError;
 
-    if (!spans_path.empty()) {
-        Json spans = buildSpansDoc(runner);
-        if (!writeFile(spans_path, spans.dump(1)))
-            return 1;
-        std::fprintf(stderr, "spans -> %s\n", spans_path.c_str());
-    }
+    if (!spans_path.empty() &&
+        !writeOutput(spans_path, buildSpansDoc(runner).dump(1),
+                     "spans"))
+        return exitError;
 
     if (!trace_path.empty()) {
         Tracer::instance().disable();
         if (!writeFile(trace_path,
                        Tracer::instance().exportChromeTracing()))
-            return 1;
+            return exitError;
         std::fprintf(stderr, "trace: %zu records (%llu dropped) -> %s\n",
                      Tracer::instance().size(),
                      static_cast<unsigned long long>(
@@ -231,22 +150,13 @@ main(int argc, char **argv)
                      trace_path.c_str());
     }
 
-    if (!stats_path.empty()) {
-        if (!writeFile(stats_path,
-                       StatRegistry::instance().toJson().dump(1)))
-            return 1;
-    }
+    if (!stats_path.empty() &&
+        !writeFile(stats_path, StatRegistry::instance().toJson().dump(1)))
+        return exitError;
 
-    if (json_out) {
-        std::string doc = report.dump(1);
-        if (json_path.empty())
-            std::fputs(doc.c_str(), stdout);
-        else if (!writeFile(json_path, doc))
-            return 1;
-        else
-            std::fprintf(stderr, "report -> %s\n", json_path.c_str());
-    } else {
+    if (!json_out)
         printTextSummary(report);
-    }
+    else if (!writeOutput(json_path, report.dump(1), "report"))
+        return exitError;
     return 0;
 }

@@ -19,61 +19,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 
-#include "cpu/decoded_program.hh"
+#include "sim/cli.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "study/span_report.hh"
 
 using namespace aosd;
-
-namespace
-{
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--json [path]] [--perfetto path] [--jobs N]\n"
-        "          [--requests N] [--top K] [--machines SLUG[,...]]\n"
-        "          [--no-predecode]\n"
-        "  --json [path]   write spans.json (stdout when no path)\n"
-        "  --perfetto path write a chrome://tracing export of the\n"
-        "                  exemplar span trees\n"
-        "  --jobs N        worker threads (default: all cores;\n"
-        "                  1 = serial; output is identical either "
-        "way)\n"
-        "  --requests N    span-traced requests per (machine,\n"
-        "                  primitive) cell (default 1000)\n"
-        "  --top K         slowest-request exemplars per cell\n"
-        "                  (default 3)\n"
-        "  --machines list comma-separated machine slugs\n"
-        "                  (default: the five Table 1 machines; the\n"
-        "                  same spelling as aosd_counters and\n"
-        "                  aosd_traffic)\n"
-        "  --no-predecode  re-interpret handler programs per kernel\n"
-        "                  event (slow reference path; output is\n"
-        "                  identical — CI cmp-gates it)\n",
-        argv0);
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     path.c_str());
-        return false;
-    }
-    out << content;
-    return true;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -81,102 +33,37 @@ main(int argc, char **argv)
     bool json_out = false;
     std::string json_path;
     std::string perfetto_path;
-    unsigned jobs = ParallelRunner::defaultJobs();
+    unsigned jobs = 0;
     SpanOptions opts;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto takesValue = [&](std::string &dst) {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                return false;
-            }
-            dst = argv[++i];
-            return true;
-        };
-        if (arg == "--json") {
-            json_out = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                json_path = argv[++i];
-        } else if (arg == "--perfetto") {
-            if (!takesValue(perfetto_path))
-                return 2;
-        } else if (arg == "--jobs") {
-            std::string v;
-            if (!takesValue(v))
-                return 2;
-            jobs = static_cast<unsigned>(std::atoi(v.c_str()));
-            if (jobs == 0)
-                jobs = ParallelRunner::defaultJobs();
-        } else if (arg == "--requests") {
-            std::string v;
-            if (!takesValue(v))
-                return 2;
-            long n = std::atol(v.c_str());
-            if (n <= 0) {
-                usage(argv[0]);
-                return 2;
-            }
-            opts.requestsPerPair = static_cast<std::size_t>(n);
-        } else if (arg == "--top") {
-            std::string v;
-            if (!takesValue(v))
-                return 2;
-            long k = std::atol(v.c_str());
-            if (k < 0) {
-                usage(argv[0]);
-                return 2;
-            }
-            opts.topK = static_cast<std::size_t>(k);
-        } else if (arg == "--machines") {
-            std::string list;
-            if (!takesValue(list))
-                return 2;
-            std::size_t pos = 0;
-            while (pos <= list.size()) {
-                std::size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                std::string slug = list.substr(pos, comma - pos);
-                if (!slug.empty())
-                    opts.machines.push_back(machineFromSlug(slug));
-                pos = comma + 1;
-            }
-            if (opts.machines.empty()) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--no-predecode") {
-            setPredecodeEnabled(false);
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    Cli cli("aosd_spans");
+    cli.optionalValue("--json", "path", json_out, json_path,
+                      "write spans.json (stdout when no path)");
+    cli.option("--perfetto", "path", perfetto_path,
+               "write a chrome://tracing export of the exemplar span\n"
+               "trees");
+    cli.jobs(jobs);
+    cli.option("--requests", "N", opts.requestsPerPair,
+               "span-traced requests per (machine, primitive) cell\n"
+               "(default 1000)",
+               1, 1000000);
+    cli.option("--top", "K", opts.topK,
+               "slowest-request exemplars per cell (default 3)");
+    cli.option("--machines", "CSV", opts.machines,
+               "machine slugs (default: the five Table 1 machines)");
+    cli.noPredecode();
+    cli.parseOrExit(argc, argv);
 
     ParallelRunner runner(jobs);
     Json doc = buildSpansDoc(runner, opts);
 
-    if (!perfetto_path.empty()) {
-        if (!writeFile(perfetto_path, spansPerfettoJson(doc)))
-            return 1;
-        std::fprintf(stderr, "perfetto -> %s\n",
-                     perfetto_path.c_str());
-    }
+    if (!perfetto_path.empty() &&
+        !writeOutput(perfetto_path, spansPerfettoJson(doc), "perfetto"))
+        return exitError;
 
-    if (json_out) {
-        std::string text = doc.dump(1);
-        if (json_path.empty())
-            std::fputs(text.c_str(), stdout);
-        else if (!writeFile(json_path, text))
-            return 1;
-        else
-            std::fprintf(stderr, "spans -> %s\n", json_path.c_str());
-    } else {
+    if (!json_out)
         std::fputs(spansTextSummary(doc).c_str(), stdout);
-    }
+    else if (!writeOutput(json_path, doc.dump(1), "spans"))
+        return exitError;
     return 0;
 }

@@ -30,15 +30,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
-#include <vector>
 
-#include "arch/machines.hh"
-#include "cpu/decoded_program.hh"
-#include "sim/batch/batch.hh"
+#include "sim/cli.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/table.hh"
 #include "workload/traffic.hh"
@@ -47,72 +41,6 @@ using namespace aosd;
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--json [path]] [--mode open|closed]\n"
-        "          [--arrival uniform|bursty|diurnal] [--requests N]\n"
-        "          [--levels CSV] [--machines CSV] [--think F]\n"
-        "          [--seed N] [--exemplars K] [--min-explained PCT]\n"
-        "          [--jobs N] [--no-batch] [--no-predecode]\n"
-        "  --json [path]  write traffic.json (stdout when no path)\n"
-        "  --mode M       open: arrivals ignore completions (load =\n"
-        "                 fraction of kernel capacity); closed: load =\n"
-        "                 client population with think time\n"
-        "  --arrival A    open-loop gap process (default uniform)\n"
-        "  --requests N   requests per (machine x level) cell\n"
-        "                 (default 100000)\n"
-        "  --levels CSV   load levels (default 0.3,0.6,0.9,1.2)\n"
-        "  --machines CSV machine slugs (default: Table 1 machines)\n"
-        "  --think F      closed-loop think time as a multiple of the\n"
-        "                 mean service time (default 5)\n"
-        "  --seed N       sweep seed (default 0x5eedf00d)\n"
-        "  --exemplars K  slowest requests kept per cell (default 5)\n"
-        "  --min-explained PCT\n"
-        "                 fail unless every cell's kernel window\n"
-        "                 explains at least PCT%% of its primitive\n"
-        "                 cycles (default 99.999)\n"
-        "  --jobs N       worker threads (default: all cores;\n"
-        "                 1 = serial; output is identical either way)\n"
-        "  --no-batch     charge every kernel event one at a time\n"
-        "                 (reference path; output is identical — CI\n"
-        "                 cmp-gates it)\n"
-        "  --no-predecode re-interpret handler programs per event\n"
-        "                 (implies the per-event charging path)\n",
-        argv0);
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     path.c_str());
-        return false;
-    }
-    out << content;
-    return true;
-}
-
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        std::size_t comma = s.find(',', start);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > start)
-            parts.push_back(s.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return parts;
-}
 
 void
 printTextSummary(const Json &doc)
@@ -182,101 +110,60 @@ main(int argc, char **argv)
     bool json_out = false;
     std::string json_path;
     double min_explained = 99.999;
-    unsigned jobs = ParallelRunner::defaultJobs();
+    unsigned jobs = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto takesValue = [&](std::string &dst) {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                return false;
-            }
-            dst = argv[++i];
-            return true;
-        };
-        std::string val;
-        if (arg == "--json") {
-            json_out = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                json_path = argv[++i];
-        } else if (arg == "--mode") {
-            if (!takesValue(val))
-                return 2;
-            if (val == "open") {
-                cfg.mode = TrafficMode::Open;
-            } else if (val == "closed") {
-                cfg.mode = TrafficMode::Closed;
-            } else {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--arrival") {
-            if (!takesValue(val))
-                return 2;
-            if (val == "uniform") {
-                cfg.arrival = TrafficArrival::Uniform;
-            } else if (val == "bursty") {
-                cfg.arrival = TrafficArrival::Bursty;
-            } else if (val == "diurnal") {
-                cfg.arrival = TrafficArrival::Diurnal;
-            } else {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--requests") {
-            if (!takesValue(val))
-                return 2;
-            cfg.requestsPerLevel = std::strtoull(val.c_str(), nullptr, 0);
-        } else if (arg == "--levels") {
-            if (!takesValue(val))
-                return 2;
-            cfg.levels.clear();
-            for (const std::string &p : splitCsv(val))
-                cfg.levels.push_back(std::strtod(p.c_str(), nullptr));
-            if (cfg.levels.empty()) {
-                usage(argv[0]);
-                return 2;
-            }
-        } else if (arg == "--machines") {
-            if (!takesValue(val))
-                return 2;
-            cfg.machines.clear();
-            for (const std::string &p : splitCsv(val))
-                cfg.machines.push_back(machineFromSlug(p));
-        } else if (arg == "--think") {
-            if (!takesValue(val))
-                return 2;
-            cfg.thinkFactor = std::strtod(val.c_str(), nullptr);
-        } else if (arg == "--seed") {
-            if (!takesValue(val))
-                return 2;
-            cfg.seed = std::strtoull(val.c_str(), nullptr, 0);
-        } else if (arg == "--exemplars") {
-            if (!takesValue(val))
-                return 2;
-            cfg.exemplars = std::strtoull(val.c_str(), nullptr, 0);
-        } else if (arg == "--min-explained") {
-            if (!takesValue(val))
-                return 2;
-            min_explained = std::strtod(val.c_str(), nullptr);
-        } else if (arg == "--jobs") {
-            if (!takesValue(val))
-                return 2;
-            jobs = static_cast<unsigned>(std::atoi(val.c_str()));
-            if (jobs == 0)
-                jobs = ParallelRunner::defaultJobs();
-        } else if (arg == "--no-batch") {
-            setBatchEnabled(false);
-        } else if (arg == "--no-predecode") {
-            setPredecodeEnabled(false);
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    Cli cli("aosd_traffic");
+    cli.optionalValue("--json", "path", json_out, json_path,
+                      "write traffic.json (stdout when no path)");
+    cli.choice("--mode", cfg.mode,
+               {{"open", TrafficMode::Open},
+                {"closed", TrafficMode::Closed}},
+               "open: arrivals ignore completions (load = fraction\n"
+               "of kernel capacity); closed: load = client\n"
+               "population with think time (default open)");
+    cli.choice("--arrival", cfg.arrival,
+               {{"uniform", TrafficArrival::Uniform},
+                {"bursty", TrafficArrival::Bursty},
+                {"diurnal", TrafficArrival::Diurnal}},
+               "open-loop gap process (default uniform)");
+    cli.option("--requests", "N", cfg.requestsPerLevel,
+               "requests per (machine x level) cell (default 100000)",
+               1, 1000000000);
+    cli.option("--levels", "CSV",
+               [&cfg](const std::string &v) {
+                   std::vector<std::string> parts;
+                   std::string why = Cli::splitList(v, parts);
+                   std::vector<double> levels(parts.size());
+                   for (std::size_t i = 0; why.empty() && i < parts.size();
+                        ++i) {
+                       why = Cli::parseReal(parts[i], 0.0, 1e6, levels[i]);
+                       if (why.empty() && levels[i] == 0.0)
+                           why = "a load level must be positive";
+                   }
+                   if (why.empty())
+                       cfg.levels = std::move(levels);
+                   return why;
+               },
+               "load levels, each in (0, 1e6] (default\n"
+               "0.3,0.6,0.9,1.2)");
+    cli.option("--machines", "CSV", cfg.machines,
+               "machine slugs (default: the Table 1 machines)");
+    cli.option("--think", "F", cfg.thinkFactor,
+               "closed-loop think time as a multiple of the mean\n"
+               "service time (default 5)",
+               0.0, 1e6);
+    cli.option("--seed", "N", cfg.seed,
+               "sweep seed, decimal or 0x hex (default 0x5eedf00d)");
+    cli.option("--exemplars", "K", cfg.exemplars,
+               "slowest requests kept per cell (default 5)");
+    cli.option("--min-explained", "PCT", min_explained,
+               "fail unless every cell's kernel window explains at\n"
+               "least PCT% of its primitive cycles (default 99.999)",
+               0.0, 100.0);
+    cli.jobs(jobs);
+    cli.noBatch();
+    cli.noPredecode();
+    cli.parseOrExit(argc, argv);
 
     ParallelRunner runner(jobs);
     Json doc = buildTrafficDoc(cfg, runner);
@@ -290,16 +177,9 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (json_out) {
-        std::string text = doc.dump(1);
-        if (json_path.empty())
-            std::fputs(text.c_str(), stdout);
-        else if (!writeFile(json_path, text))
-            return 1;
-        else
-            std::fprintf(stderr, "traffic -> %s\n", json_path.c_str());
-    } else {
+    if (!json_out)
         printTextSummary(doc);
-    }
+    else if (!writeOutput(json_path, doc.dump(1), "traffic"))
+        return exitError;
     return 0;
 }

@@ -2,7 +2,7 @@
  * @file
  * aosd_trend: the perf database front-end — ingest every run's
  * artifacts, query metric trends, flag regressions against the rolling
- * band, render the dashboard.
+ * band. aosd_dashboard --db renders the database as a site.
  *
  *   aosd_trend ingest --db perfdb.jsonl --commit abc123 \
  *       --time 2026-08-09T12:00:00Z --host ci --flags gcc-Rel \
@@ -16,7 +16,6 @@
  *       --metric counters.SPARC.context_switch.cycles_per_call \
  *       --last 50 [--json]
  *   aosd_trend check --db perfdb.jsonl --tol 5% [--json check.json]
- *   aosd_trend html --db perfdb.jsonl --out trend.html
  *   aosd_trend export --db perfdb.jsonl --record -1 --doc counters
  *
  * The database is append-only JSONL (sim/perfdb); ingest appends one
@@ -28,14 +27,15 @@
  * or I/O errors.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "sim/cli.hh"
 #include "sim/json.hh"
 #include "sim/perfdb/perfdb.hh"
 #include "study/trend_report.hh"
@@ -44,83 +44,6 @@ using namespace aosd;
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s <command> --db perfdb.jsonl [options]\n"
-        "commands:\n"
-        "  ingest   append one run's artifacts as a record\n"
-        "           --commit C --time T [--host H] [--flags F]\n"
-        "           [--report f] [--counters f] [--kernel-windows f]\n"
-        "           [--profile f] [--timeseries f] [--spans f]\n"
-        "           [--traffic f] [--bench suite=f]... [--replace]\n"
-        "  list     one line per record (--json for the metadata)\n"
-        "  metrics  every metric path ([--filter S] substring list)\n"
-        "  query    one metric's series + rolling stats\n"
-        "           --metric PATH [--last N] [--baseline N] [--json]\n"
-        "  check    flag metrics outside their rolling band; exit 1\n"
-        "           on any flag. [--tol 5%% | 0.05] [--baseline N]\n"
-        "           [--filter S] [--skip S] [--top N] [--json path]\n"
-        "  html     static dashboard [--out f] [--filter S]\n"
-        "           [--skip S] [--last N] [--tol ..] [--baseline N]\n"
-        "  export   print one stored document\n"
-        "           --record REF --doc NAME [--out f]\n"
-        "record REFs: an id, a commit (or unique prefix), 'latest',\n"
-        "or -N (N runs back)\n",
-        argv0);
-}
-
-bool
-loadJsonFile(const std::string &path, Json &out)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot read %s\n", path.c_str());
-        return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    out = Json::parse(buf.str(), &error);
-    if (out.isNull() && !error.empty()) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     error.c_str());
-        return false;
-    }
-    return true;
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     path.c_str());
-        return false;
-    }
-    out << content;
-    return true;
-}
-
-/** "5%" -> 0.05, "0.05" -> 0.05. */
-bool
-parseTolerance(const std::string &arg, double &out)
-{
-    char *end = nullptr;
-    double v = std::strtod(arg.c_str(), &end);
-    if (end == arg.c_str() || v < 0)
-        return false;
-    if (*end == '%') {
-        out = v / 100.0;
-        return *(end + 1) == '\0';
-    }
-    out = v;
-    return *end == '\0';
-}
 
 struct Args
 {
@@ -161,50 +84,23 @@ cmdIngest(const Args &a)
                      "ingest: --commit and --time are required (they "
                      "key the record; pass the commit's own "
                      "timestamp so re-ingest is reproducible)\n");
-        return 2;
+        return exitError;
     }
 
     Json report, counters, kw, profile, timeseries, spans, traffic;
     std::vector<Json> bench_docs(a.bench.size());
     PerfDbRecordInputs in;
-    if (!a.report.empty()) {
-        if (!loadJsonFile(a.report, report))
-            return 2;
-        in.report = &report;
-    }
-    if (!a.counters.empty()) {
-        if (!loadJsonFile(a.counters, counters))
-            return 2;
-        in.counters = &counters;
-    }
-    if (!a.kernelWindows.empty()) {
-        if (!loadJsonFile(a.kernelWindows, kw))
-            return 2;
-        in.kernelWindows = &kw;
-    }
-    if (!a.profile.empty()) {
-        if (!loadJsonFile(a.profile, profile))
-            return 2;
-        in.profile = &profile;
-    }
-    if (!a.timeseries.empty()) {
-        if (!loadJsonFile(a.timeseries, timeseries))
-            return 2;
-        in.timeseries = &timeseries;
-    }
-    if (!a.spans.empty()) {
-        if (!loadJsonFile(a.spans, spans))
-            return 2;
-        in.spans = &spans;
-    }
-    if (!a.traffic.empty()) {
-        if (!loadJsonFile(a.traffic, traffic))
-            return 2;
-        in.traffic = &traffic;
-    }
+    if (!loadOptionalJson(a.report, report, in.report) ||
+        !loadOptionalJson(a.counters, counters, in.counters) ||
+        !loadOptionalJson(a.kernelWindows, kw, in.kernelWindows) ||
+        !loadOptionalJson(a.profile, profile, in.profile) ||
+        !loadOptionalJson(a.timeseries, timeseries, in.timeseries) ||
+        !loadOptionalJson(a.spans, spans, in.spans) ||
+        !loadOptionalJson(a.traffic, traffic, in.traffic))
+        return exitError;
     for (std::size_t i = 0; i < a.bench.size(); ++i) {
         if (!loadJsonFile(a.bench[i].second, bench_docs[i]))
-            return 2;
+            return exitError;
         in.bench.emplace_back(a.bench[i].first, &bench_docs[i]);
     }
     if (!in.report && !in.counters && !in.kernelWindows &&
@@ -213,7 +109,7 @@ cmdIngest(const Args &a)
         std::fprintf(stderr,
                      "ingest: nothing to ingest (pass at least one "
                      "document)\n");
-        return 2;
+        return exitError;
     }
 
     Json rec = buildPerfDbRecord(a.commit, a.time, a.host, a.flags,
@@ -225,7 +121,7 @@ cmdIngest(const Args &a)
     if (exists && !db.load(a.db, &error)) {
         std::fprintf(stderr, "%s: %s\n", a.db.c_str(),
                      error.c_str());
-        return 2;
+        return exitError;
     }
 
     std::string id = PerfDb::recordId(rec);
@@ -235,7 +131,7 @@ cmdIngest(const Args &a)
     if (!db.append(rec, &error)) {
         std::fprintf(stderr, "%s: %s\n", a.db.c_str(),
                      error.c_str());
-        return 2;
+        return exitError;
     }
 
     // Plain ingest appends the one new line; --replace rewrote
@@ -251,7 +147,7 @@ cmdIngest(const Args &a)
     }
     if (!ok) {
         std::fprintf(stderr, "%s\n", error.c_str());
-        return 2;
+        return exitError;
     }
     std::printf("ingested %s (%zu record(s) in %s)\n", id.c_str(),
                 db.size(), a.db.c_str());
@@ -300,7 +196,7 @@ cmdQuery(const Args &a, const PerfDb &db)
 {
     if (a.metric.empty()) {
         std::fprintf(stderr, "query: --metric is required\n");
-        return 2;
+        return exitError;
     }
     Json doc = buildTrendQueryDoc(db, a.metric, a.last, a.baseline);
     if (doc.at("points").size() == 0) {
@@ -342,7 +238,7 @@ cmdCheck(const Args &a, const PerfDb &db)
         checkTrends(db, a.tol, a.baseline, a.filter, a.skip);
     if (!a.jsonPath.empty() &&
         !writeFile(a.jsonPath, result.toJson().dump(1)))
-        return 2;
+        return exitError;
 
     std::printf("aosd_trend check: %zu metric(s) checked, %zu "
                 "skipped (no band yet), %zu flagged "
@@ -373,34 +269,18 @@ cmdCheck(const Args &a, const PerfDb &db)
 }
 
 int
-cmdHtml(const Args &a, const PerfDb &db)
-{
-    std::string html =
-        renderTrendHtml(db, a.tol, a.baseline, a.filter, a.skip,
-                        a.last == 0 ? 50 : a.last);
-    if (a.out.empty()) {
-        std::fputs(html.c_str(), stdout);
-        return 0;
-    }
-    if (!writeFile(a.out, html))
-        return 2;
-    std::fprintf(stderr, "dashboard -> %s\n", a.out.c_str());
-    return 0;
-}
-
-int
 cmdExport(const Args &a, const PerfDb &db)
 {
     if (a.record.empty() || a.docName.empty()) {
         std::fprintf(stderr,
                      "export: --record and --doc are required\n");
-        return 2;
+        return exitError;
     }
     std::string error;
     const PerfDbRecord *rec = db.resolve(a.record, &error);
     if (!rec) {
         std::fprintf(stderr, "%s\n", error.c_str());
-        return 2;
+        return exitError;
     }
     const Json *doc = rec->doc(a.docName);
     if (!doc) {
@@ -414,7 +294,7 @@ cmdExport(const Args &a, const PerfDb &db)
                      "record %s has no document '%s' (has: %s)\n",
                      rec->id().c_str(), a.docName.c_str(),
                      names.c_str());
-        return 2;
+        return exitError;
     }
     std::string text = doc->dump(1);
     if (a.out.empty()) {
@@ -422,7 +302,7 @@ cmdExport(const Args &a, const PerfDb &db)
         return 0;
     }
     if (!writeFile(a.out, text))
-        return 2;
+        return exitError;
     std::fprintf(stderr, "%s of %s -> %s\n", a.docName.c_str(),
                  rec->id().c_str(), a.out.c_str());
     return 0;
@@ -433,115 +313,90 @@ cmdExport(const Args &a, const PerfDb &db)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        usage(argv[0]);
-        return 2;
-    }
-
     Args a;
-    a.command = argv[1];
     // CI convenience: the commit is usually in the environment.
     a.commit = envOr("AOSD_COMMIT", envOr("GITHUB_SHA", ""));
     a.time = envOr("AOSD_TIME", "");
+    std::vector<std::string> command;
 
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--db") {
-            a.db = value();
-        } else if (arg == "--commit") {
-            a.commit = value();
-        } else if (arg == "--time") {
-            a.time = value();
-        } else if (arg == "--host") {
-            a.host = value();
-        } else if (arg == "--flags") {
-            a.flags = value();
-        } else if (arg == "--report") {
-            a.report = value();
-        } else if (arg == "--counters") {
-            a.counters = value();
-        } else if (arg == "--kernel-windows") {
-            a.kernelWindows = value();
-        } else if (arg == "--profile") {
-            a.profile = value();
-        } else if (arg == "--timeseries") {
-            a.timeseries = value();
-        } else if (arg == "--spans") {
-            a.spans = value();
-        } else if (arg == "--traffic") {
-            a.traffic = value();
-        } else if (arg == "--bench") {
-            std::string spec = value();
-            std::size_t eq = spec.find('=');
-            if (eq == std::string::npos || eq == 0 ||
-                eq + 1 == spec.size()) {
-                std::fprintf(stderr,
-                             "--bench wants suite=path, got %s\n",
-                             spec.c_str());
-                return 2;
-            }
-            a.bench.emplace_back(spec.substr(0, eq),
-                                 spec.substr(eq + 1));
-        } else if (arg == "--replace") {
-            a.replace = true;
-        } else if (arg == "--metric") {
-            a.metric = value();
-        } else if (arg == "--filter") {
-            a.filter = value();
-        } else if (arg == "--skip") {
-            a.skip = value();
-        } else if (arg == "--record") {
-            a.record = value();
-        } else if (arg == "--doc") {
-            a.docName = value();
-        } else if (arg == "--out") {
-            a.out = value();
-        } else if (arg == "--json") {
-            a.json = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                a.jsonPath = argv[++i];
-        } else if (arg == "--tol") {
-            if (!parseTolerance(value(), a.tol)) {
-                std::fprintf(stderr,
-                             "--tol wants e.g. 5%% or 0.05\n");
-                return 2;
-            }
-        } else if (arg == "--last") {
-            a.last = static_cast<std::size_t>(std::atoi(value()));
-        } else if (arg == "--baseline") {
-            a.baseline =
-                static_cast<std::size_t>(std::atoi(value()));
-            if (a.baseline == 0) {
-                std::fprintf(stderr, "--baseline must be >= 1\n");
-                return 2;
-            }
-        } else if (arg == "--top") {
-            a.top = static_cast<std::size_t>(std::atoi(value()));
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else {
-            usage(argv[0]);
-            return 2;
-        }
-    }
-
-    if (a.command == "--help" || a.command == "-h" ||
-        a.command == "help") {
-        usage(argv[0]);
+    Cli cli("aosd_trend", "<command> --db perfdb.jsonl [options]",
+            "commands:\n"
+            "  ingest   append one run's artifacts as a record: --commit\n"
+            "           --time [--host] [--flags] [--report] [--counters]\n"
+            "           [--kernel-windows] [--profile] [--timeseries]\n"
+            "           [--spans] [--traffic] [--bench]... [--replace]\n"
+            "  list     one line per record (--json for the metadata)\n"
+            "  metrics  every metric path [--filter]\n"
+            "  query    one metric's series + rolling stats: --metric\n"
+            "           [--last] [--baseline] [--json]\n"
+            "  check    flag metrics outside their rolling band; exit 1\n"
+            "           on any flag. [--tol] [--baseline] [--filter]\n"
+            "           [--skip] [--top] [--json path]\n"
+            "  export   print one stored document: --record --doc [--out]\n"
+            "record REFs: an id, a commit (or unique prefix), 'latest',\n"
+            "or -N (N runs back)\n");
+    cli.option("--db", "path", a.db, "the perf database (required)");
+    cli.option("--commit", "C", a.commit,
+               "ingest: commit (default $AOSD_COMMIT, $GITHUB_SHA)");
+    cli.option("--time", "T", a.time,
+               "ingest: the commit's timestamp (default $AOSD_TIME)");
+    cli.option("--host", "H", a.host, "ingest: host label");
+    cli.option("--flags", "F", a.flags, "ingest: build-flags label");
+    cli.option("--report", "path", a.report, "ingest: report.json");
+    cli.option("--counters", "path", a.counters,
+               "ingest: counters.json");
+    cli.option("--kernel-windows", "path", a.kernelWindows,
+               "ingest: kernel_windows.json");
+    cli.option("--profile", "path", a.profile, "ingest: profile.json");
+    cli.option("--timeseries", "path", a.timeseries,
+               "ingest: timeseries.json");
+    cli.option("--spans", "path", a.spans, "ingest: spans.json");
+    cli.option("--traffic", "path", a.traffic, "ingest: traffic.json");
+    cli.option("--bench", "suite=path",
+               [&a](const std::string &v) {
+                   std::string suite, path;
+                   std::string why = Cli::splitKeyValue(v, suite, path);
+                   if (why.empty())
+                       a.bench.emplace_back(suite, path);
+                   return why;
+               },
+               "ingest: a google-benchmark document (repeatable)");
+    cli.flag("--replace", a.replace,
+             "ingest: replace a record with the same id");
+    cli.option("--metric", "PATH", a.metric, "query: the metric");
+    cli.option("--filter", "S", a.filter, "substring filter list");
+    cli.option("--skip", "S", a.skip, "check: substring skip list");
+    cli.option("--record", "REF", a.record, "export: the record");
+    cli.option("--doc", "NAME", a.docName, "export: the document");
+    cli.option("--out", "path", a.out,
+               "export: write to a file instead of stdout");
+    cli.optionalValue("--json", "path", a.json, a.jsonPath,
+                      "JSON output (check: to path)");
+    cli.tolerance("--tol", a.tol,
+                  "check: relative band, 0.05 or 5% (default 0.05)");
+    cli.option("--last", "N", a.last,
+               "query: newest N points (default 0 = all)");
+    cli.option("--baseline", "N", a.baseline,
+               "rolling-band window (default 20)", 1);
+    cli.option("--top", "N", a.top,
+               "check: print at most N flags (default 20, 0 = all)");
+    cli.positionals(command);
+    cli.parseOrExit(argc, argv);
+    if (command.size() != 1)
+        cli.fail("expected one command, got " +
+                 std::to_string(command.size()));
+    a.command = command[0];
+    if (a.command == "help") {
+        std::fputs(cli.usage().c_str(), stdout);
         return 0;
     }
-    if (a.db.empty()) {
-        std::fprintf(stderr, "--db is required\n");
-        return 2;
-    }
+    const std::string commands[] = {"ingest", "list",  "metrics",
+                                    "query",  "check", "export"};
+    if (std::find(std::begin(commands), std::end(commands),
+                  a.command) == std::end(commands))
+        cli.fail("unknown command '" + a.command + "'");
+    if (a.db.empty())
+        cli.fail("--db is required");
 
     if (a.command == "ingest")
         return cmdIngest(a);
@@ -551,7 +406,7 @@ main(int argc, char **argv)
     if (!db.load(a.db, &error)) {
         std::fprintf(stderr, "%s: %s\n", a.db.c_str(),
                      error.c_str());
-        return 2;
+        return exitError;
     }
 
     if (a.command == "list")
@@ -562,12 +417,5 @@ main(int argc, char **argv)
         return cmdQuery(a, db);
     if (a.command == "check")
         return cmdCheck(a, db);
-    if (a.command == "html")
-        return cmdHtml(a, db);
-    if (a.command == "export")
-        return cmdExport(a, db);
-
-    std::fprintf(stderr, "unknown command: %s\n", a.command.c_str());
-    usage(argv[0]);
-    return 2;
+    return cmdExport(a, db);
 }
