@@ -68,7 +68,8 @@ BM_HandlerExecutionProfiled(benchmark::State &state)
     // Same work as BM_HandlerExecution on the R3000, but with cycle
     // attribution on: the delta between the two is the profiler's
     // enabled cost, and comparing BM_HandlerExecution across builds
-    // with/without -DAOSD_DISABLE_PROFILER bounds the disabled cost.
+    // with/without -DAOSD_DISABLE_OBSERVERS bounds the disabled cost
+    // of all four observers.
     MachineDesc m = makeMachine(MachineId::R3000);
     HandlerProgram prog = buildHandler(m, Primitive::Trap);
     ExecModel exec(m);
@@ -87,9 +88,8 @@ void
 BM_HandlerExecutionCounted(benchmark::State &state)
 {
     // Same work again with the hardware counters on: the delta from
-    // BM_HandlerExecution is the counters' enabled cost, and comparing
-    // BM_HandlerExecution across builds with/without
-    // -DAOSD_DISABLE_COUNTERS bounds the disabled cost.
+    // BM_HandlerExecution is the counters' enabled cost (the disabled
+    // cost is bounded with -DAOSD_DISABLE_OBSERVERS, as above).
     MachineDesc m = makeMachine(MachineId::R3000);
     HandlerProgram prog = buildHandler(m, Primitive::Trap);
     ExecModel exec(m);
@@ -134,8 +134,7 @@ BM_PrimitiveSpanTraced(benchmark::State &state)
     // per-phase leaves. With spantrace off, every hook is a single
     // thread-local flag test (spdetail::on), so comparing the plain
     // kernel benchmarks across builds with/without
-    // -DAOSD_DISABLE_SPANTRACE bounds the disabled cost (CI gates
-    // that below 3%).
+    // -DAOSD_DISABLE_OBSERVERS bounds the disabled cost.
     MachineDesc m = makeMachine(MachineId::R3000);
     SimKernel kernel(m);
     AddressSpace &app = kernel.createSpace("app");
@@ -223,8 +222,8 @@ BM_WorkloadRunSampled(benchmark::State &state)
     // BM_WorkloadRun with the periodic counter sampler on: the delta
     // against BM_WorkloadRun is the enabled sampling cost, and
     // comparing BM_WorkloadRun itself across builds with/without
-    // -DAOSD_DISABLE_SAMPLER bounds the disabled-but-compiled-in cost
-    // (CI gates that below 3%).
+    // -DAOSD_DISABLE_OBSERVERS bounds the disabled-but-compiled-in
+    // cost of all four observers (CI gates that below 3%).
     const MachineDesc &m = sharedCostDb().machine(MachineId::R3000);
     AppProfile app = workloadByName("spellcheck-1");
     OsModelConfig cfg;

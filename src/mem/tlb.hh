@@ -86,8 +86,15 @@ class Tlb
 
     /** Probe for (vpn, asid); updates recency on hit.
      *  @param kernel_space  the reference is to mapped kernel space
-     *  (selects the software-refill cost on sw-managed TLBs). */
-    TlbLookup lookup(Vpn vpn, Asid asid, bool kernel_space = false);
+     *  (selects the software-refill cost on sw-managed TLBs).
+     *  @param count_hit  bump HwCounter::TlbHits on a hit; a loop that
+     *  takes no counter snapshot may pass false and bump the counter
+     *  once from the hits() delta. */
+    TlbLookup lookup(Vpn vpn, Asid asid, bool kernel_space = false,
+                     bool count_hit = true);
+
+    /** Hits since construction (the "hits" stat). */
+    std::uint64_t hits() const { return *statHits; }
 
     /** Insert or replace a translation. */
     void insert(Vpn vpn, Asid asid, Pfn pfn, PageProt prot,
@@ -234,7 +241,9 @@ class Tlb
 // engine (tens of millions of calls per Table 7 cell), so it and the
 // helpers it touches live in the header where callers can inline
 // them; everything rarer (miss bookkeeping, insert, invalidation)
-// stays out of line in tlb.cc.
+// stays out of line in tlb.cc. lookup() is forced inline: left to the
+// inliner's size estimate, the observer hooks tip SimKernel::touchPages
+// into an out-of-line call per page.
 
 inline std::uint32_t
 Tlb::probeFind(SlotKey k) const
@@ -285,8 +294,8 @@ Tlb::lruTouch(std::uint32_t slot)
     }
 }
 
-inline TlbLookup
-Tlb::lookup(Vpn vpn, Asid asid, bool kernel_space)
+[[gnu::always_inline]] inline TlbLookup
+Tlb::lookup(Vpn vpn, Asid asid, bool kernel_space, bool count_hit)
 {
     ++*statLookups;
     SlotKey k = keyFor(vpn, asid);
@@ -299,7 +308,8 @@ Tlb::lookup(Vpn vpn, Asid asid, bool kernel_space)
             e.lastUse = ++useClock;
             lruTouch(slot);
             ++*statHits;
-            countEvent(HwCounter::TlbHits);
+            if (count_hit)
+                countEvent(HwCounter::TlbHits);
             return {true, e.pfn, e.prot, 0};
         }
         i = (i + 1) & tableMask;

@@ -573,18 +573,24 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
     std::uint64_t *miss_stat =
         kernel_space ? statKernelTlbMisses : statUserTlbMisses;
     const char *miss_leaf = kernel_space ? "miss_kernel" : "miss_user";
+    // Observer state is loop-invariant too (the reference refill pauses
+    // and restores it), and nothing in the loop snapshots the counters:
+    // test the profiler once and bump tlb_hits once, from the TLB's hit
+    // stat, instead of per page.
+    const bool profiling = profilerEnabled();
+    const std::uint64_t hits_before = tlbModel.hits();
     // Loop-invariant: whether misses charge the interpreted refill
     // handler (reference mode) or the lookup's modeled constant.
     const bool interp_refill =
         hasSwRefill && !predecodeEnabled() && !tracing;
     for (Vpn vpn : pages) {
-        TlbLookup r = tlbModel.lookup(vpn, asid, kernel_space);
+        TlbLookup r = tlbModel.lookup(vpn, asid, kernel_space, false);
         if (!r.hit) {
             Cycles mc = interp_refill ? interpRefillCost(kernel_space)
                                       : r.missCycles;
             cycleCount += mc;
             primCycles += mc;
-            if (profilerEnabled())
+            if (profiling)
                 Profiler::instance().addLeafCycles(miss_leaf, mc);
             if (tracing)
                 Tracer::instance().setCycle(cycleCount);
@@ -604,13 +610,13 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
                 // for TLB entries.
                 Vpn table_page = 0x800 + asid + ((vpn >> 10) % 2);
                 TlbLookup k =
-                    tlbModel.lookup(table_page, 0, true);
+                    tlbModel.lookup(table_page, 0, true, false);
                 if (!k.hit) {
                     Cycles kc = interp_refill ? interpRefillCost(true)
                                               : k.missCycles;
                     cycleCount += kc;
                     primCycles += kc;
-                    if (profilerEnabled())
+                    if (profiling)
                         Profiler::instance().addLeafCycles(
                             "miss_page_table", kc);
                     if (tracing)
@@ -622,6 +628,7 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
             }
         }
     }
+    countEvent(HwCounter::TlbHits, tlbModel.hits() - hits_before);
     if (cycleCount > span_start)
         spanLeaf("tlb_refill", cycleCount - span_start);
 }

@@ -17,9 +17,8 @@
  * the paper's own arithmetic for Tables 1/2/5.
  *
  * Counting is off by default; a disabled bump is one non-atomic load
- * and a predictable branch (the profdetail::on pattern). Configure
- * with -DAOSD_DISABLE_COUNTERS=ON to compile the hooks out entirely
- * (used to bound the disabled-but-compiled-in overhead).
+ * and a predictable branch (the profdetail::on pattern), and
+ * -DAOSD_DISABLE_OBSERVERS=ON folds it away (sim/observers.hh).
  *
  * Counter state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) counts into its own file, so
@@ -35,6 +34,7 @@
 #include <cstdint>
 
 #include "sim/json.hh"
+#include "sim/observers.hh"
 
 namespace aosd
 {
@@ -140,48 +140,35 @@ namespace ctrdetail
  *  the execution model's per-op loop is one non-atomic load and a
  *  branch, and thread-local so every simulation slice counts into its
  *  own file without atomics. */
-extern thread_local bool on;
-extern thread_local std::array<std::uint64_t, numHwCounters> vals;
+extern thread_local constinit bool on;
+extern thread_local constinit std::array<std::uint64_t, numHwCounters>
+    vals;
 } // namespace ctrdetail
 
 /** Cheapest possible "are counters on?" check for hot paths. */
 inline bool
 countersEnabled()
 {
-#ifndef AOSD_COUNTERS_DISABLED
-    return ctrdetail::on;
-#else
-    return false;
-#endif
+    return observersCompiledIn && ctrdetail::on;
 }
 
 /** Bump an event counter (saturation-free 64-bit accumulate). */
 inline void
 countEvent(HwCounter c, std::uint64_t n = 1)
 {
-#ifndef AOSD_COUNTERS_DISABLED
-    if (ctrdetail::on)
+    if (countersEnabled())
         ctrdetail::vals[static_cast<std::size_t>(c)] += n;
-#else
-    (void)c;
-    (void)n;
-#endif
 }
 
 /** Raise a high-water counter to `v` if `v` exceeds it. */
 inline void
 countHighWater(HwCounter c, std::uint64_t v)
 {
-#ifndef AOSD_COUNTERS_DISABLED
-    if (ctrdetail::on) {
+    if (countersEnabled()) {
         std::uint64_t &s = ctrdetail::vals[static_cast<std::size_t>(c)];
         if (v > s)
             s = v;
     }
-#else
-    (void)c;
-    (void)v;
-#endif
 }
 
 /**

@@ -460,6 +460,51 @@ class Parser
         return out;
     }
 
+    /** Read the four hex digits of a \\u escape into `code`. */
+    bool
+    hex4(unsigned &code)
+    {
+        if (pos + 4 > src.size()) {
+            fail("truncated \\u escape");
+            return false;
+        }
+        for (int i = 0; i < 4; ++i) {
+            char h = src[pos++];
+            code <<= 4;
+            if (h >= '0' && h <= '9')
+                code += h - '0';
+            else if (h >= 'a' && h <= 'f')
+                code += 10 + h - 'a';
+            else if (h >= 'A' && h <= 'F')
+                code += 10 + h - 'A';
+            else {
+                fail("bad \\u escape");
+                return false;
+            }
+        }
+        return true;
+    }
+
+    static void
+    appendUtf8(std::string &out, unsigned code)
+    {
+        if (code < 0x80) {
+            out += static_cast<char>(code);
+        } else if (code < 0x800) {
+            out += static_cast<char>(0xc0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3f));
+        } else if (code < 0x10000) {
+            out += static_cast<char>(0xe0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+            out += static_cast<char>(0x80 | (code & 0x3f));
+        } else {
+            out += static_cast<char>(0xf0 | (code >> 18));
+            out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+            out += static_cast<char>(0x80 | (code & 0x3f));
+        }
+    }
+
     std::string
     string()
     {
@@ -502,38 +547,31 @@ class Parser
                 out += '\f';
                 break;
               case 'u': {
-                if (pos + 4 > src.size()) {
-                    fail("truncated \\u escape");
+                const std::size_t at = pos - 2; // the backslash
+                unsigned code = 0;
+                if (!hex4(code))
+                    return out;
+                if (code >= 0xdc00 && code <= 0xdfff) {
+                    failAt(at, "lone low surrogate \\u escape");
                     return out;
                 }
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = src[pos++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code += h - '0';
-                    else if (h >= 'a' && h <= 'f')
-                        code += 10 + h - 'a';
-                    else if (h >= 'A' && h <= 'F')
-                        code += 10 + h - 'A';
-                    else {
-                        fail("bad \\u escape");
+                if (code >= 0xd800 && code <= 0xdbff) {
+                    // A high surrogate must be followed at once by a
+                    // low one; the pair encodes one astral code point.
+                    unsigned low = 0;
+                    if (src.compare(pos, 2, "\\u") == 0) {
+                        pos += 2;
+                        if (!hex4(low))
+                            return out;
+                    }
+                    if (low < 0xdc00 || low > 0xdfff) {
+                        failAt(at, "unpaired high surrogate \\u escape");
                         return out;
                     }
+                    code = 0x10000 + ((code - 0xd800) << 10) +
+                           (low - 0xdc00);
                 }
-                // UTF-8 encode (basic plane only; enough for stats
-                // and trace names, which are ASCII in practice).
-                if (code < 0x80) {
-                    out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    out += static_cast<char>(0xc0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3f));
-                } else {
-                    out += static_cast<char>(0xe0 | (code >> 12));
-                    out += static_cast<char>(0x80 |
-                                             ((code >> 6) & 0x3f));
-                    out += static_cast<char>(0x80 | (code & 0x3f));
-                }
+                appendUtf8(out, code);
                 break;
               }
               default:

@@ -45,11 +45,18 @@ ParallelRunner::runIndexed(std::size_t n,
     std::vector<FlatStats> shards(collectStats ? n : 0);
     const bool capture = collectStats;
     auto task = [&](std::size_t i) {
-        if (capture)
-            SimSlice::current().beginStatCapture();
+        if (!capture) {
+            fn(i);
+            return;
+        }
+        // Zero the worker's registry so the flattened shard holds
+        // exactly this task's events.
+        StatRegistry &reg = StatRegistry::instance();
+        reg.setRetainRetired(true);
+        reg.resetAll();
         fn(i);
-        if (capture)
-            shards[i] = SimSlice::current().captureStats();
+        shards[i] = reg.flatten();
+        reg.resetAll();
     };
     pool().forEachIndex(n, task);
 

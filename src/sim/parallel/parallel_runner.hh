@@ -7,12 +7,11 @@
  * ablation) cells, (app × OS structure) Table 7 replays. Each cell
  * builds its own models, enables its own instrumentation session, and
  * returns a value — nothing couples two cells except the singletons,
- * and those are now thread-local (one SimSlice per worker). The
- * runner fans a vector of such cells across a fixed-size ThreadPool
- * and hands back the results **in task-index order**: workers decide
- * when a task runs, never where its result goes, so the output is
- * bit-for-bit identical to the serial loop no matter how the OS
- * schedules the workers.
+ * and those are thread-local (see below). The runner fans a vector of
+ * such cells across a fixed-size ThreadPool and hands back the results
+ * **in task-index order**: workers decide when a task runs, never
+ * where its result goes, so the output is bit-for-bit identical to
+ * the serial loop no matter how the OS schedules the workers.
  *
  * Determinism contract (what makes --jobs 8 byte-identical to
  * --jobs 1):
@@ -27,6 +26,16 @@
  *
  * Exception semantics match the serial loop as well: the failure with
  * the lowest task index is rethrown on the submitting thread.
+ *
+ * Thread-local shards: every piece of cross-cutting instrumentation
+ * state is per thread — the trace ring (sim/trace.hh), the attribution
+ * tree (sim/profile/profile.hh), the counter file
+ * (sim/counters/counters.hh), the span tracer, the sampler and the
+ * stat registry (sim/stats.hh) each hand out the *calling thread's*
+ * instance, guarded by constinit thread-local fast-path flags. A
+ * worker's shard is what its tasks accumulated; tasks reset the
+ * arenas they use, and the runner captures a task's stats into a
+ * value the coordinating thread merges in task-index order.
  */
 
 #ifndef AOSD_SIM_PARALLEL_PARALLEL_RUNNER_HH
@@ -37,8 +46,8 @@
 #include <memory>
 #include <vector>
 
-#include "sim/parallel/sim_slice.hh"
 #include "sim/parallel/thread_pool.hh"
+#include "sim/stats.hh"
 
 namespace aosd
 {
@@ -62,10 +71,11 @@ class ParallelRunner
     unsigned jobs() const { return jobCount; }
 
     /**
-     * With stat collection on, each worker task runs bracketed by
-     * SimSlice::beginStatCapture()/captureStats() and the captured
-     * shards are folded into the calling thread's StatRegistry (as
-     * retired aggregates) in task-index order after the batch. Off by
+     * With stat collection on, each worker task runs against a reset
+     * StatRegistry that retains retired groups, its stats are
+     * flattened into a shard afterwards, and the shards are folded
+     * into the calling thread's StatRegistry (as retired aggregates)
+     * in task-index order after the batch. Off by
      * default; serial (jobs == 1) execution never wraps, so the
      * calling thread's registry accumulates naturally as today.
      */

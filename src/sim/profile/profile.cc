@@ -5,7 +5,7 @@ namespace aosd
 
 namespace profdetail
 {
-thread_local bool on = false;
+thread_local constinit bool on = false;
 } // namespace profdetail
 
 ProfNode *
@@ -99,53 +99,36 @@ Profiler::clear()
 void
 Profiler::addLeafCycles(const char *leaf, Cycles c)
 {
-#ifndef AOSD_PROFILER_DISABLED
-    if (!profdetail::on)
+    if (!profilerEnabled())
         return;
     ProfNode *node = cur->child(leaf);
     node->selfCycles += c;
     node->entries += 1;
     node->spans.sample(c);
     attributed += c;
-#else
-    (void)leaf;
-    (void)c;
-#endif
 }
 
 void
 Profiler::addLeafCyclesRepeated(const char *leaf, Cycles each,
                                 std::uint64_t k)
 {
-#ifndef AOSD_PROFILER_DISABLED
-    if (!profdetail::on || k == 0)
+    if (!profilerEnabled() || k == 0)
         return;
     ProfNode *node = cur->child(leaf);
     node->selfCycles += each * k;
     node->entries += k;
     node->spans.sampleN(each, k);
     attributed += each * k;
-#else
-    (void)leaf;
-    (void)each;
-    (void)k;
-#endif
 }
 
 ProfNode *
 Profiler::pushRepeated(const char *name, std::uint64_t k)
 {
-#ifndef AOSD_PROFILER_DISABLED
-    if (!profdetail::on)
+    if (!profilerEnabled())
         return nullptr;
     cur = cur->child(name);
     cur->entries += k;
     return cur;
-#else
-    (void)name;
-    (void)k;
-    return nullptr;
-#endif
 }
 
 void
@@ -225,6 +208,21 @@ Profiler::push(const char *name)
     cur = cur->child(name);
     cur->entries += 1;
     return cur;
+}
+
+void
+ProfScope::enter(const char *name)
+{
+    Profiler &p = Profiler::instance();
+    entryAttributed = p.attributedCycles();
+    entryGeneration = p.generation;
+    node = p.push(name);
+}
+
+void
+ProfScope::leave()
+{
+    Profiler::instance().pop(node, entryAttributed, entryGeneration);
 }
 
 void

@@ -16,10 +16,8 @@
  * tools/aosd_profile asserts this per machine × primitive, so "where
  * did the cycles go" always sums to "how long did it take".
  *
- * Profiling is off by default; a disabled ProfScope costs one branch.
- * Configure with -DAOSD_DISABLE_PROFILER=ON to compile the hooks out
- * entirely (used to bound the disabled-but-compiled-in overhead; see
- * EXPERIMENTS.md).
+ * Profiling is off by default; a disabled ProfScope costs one branch,
+ * and -DAOSD_DISABLE_OBSERVERS=ON folds it away (sim/observers.hh).
  *
  * Profiler state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) attributes into its own tree, and
@@ -35,6 +33,7 @@
 #include <vector>
 
 #include "sim/json.hh"
+#include "sim/observers.hh"
 #include "sim/profile/histogram.hh"
 #include "sim/ticks.hh"
 
@@ -48,18 +47,14 @@ namespace profdetail
  *  simulator's hot loops is one non-atomic load and a branch — no
  *  function-local-static guard — and thread-local so each simulation
  *  slice profiles independently. */
-extern thread_local bool on;
+extern thread_local constinit bool on;
 } // namespace profdetail
 
 /** Cheapest possible "is profiling on?" check for hot paths. */
 inline bool
 profilerEnabled()
 {
-#ifndef AOSD_PROFILER_DISABLED
-    return profdetail::on;
-#else
-    return false;
-#endif
+    return observersCompiledIn && profdetail::on;
 }
 
 /** One node of the attribution tree. */
@@ -131,14 +126,10 @@ class Profiler
     void
     addCycles(Cycles c)
     {
-#ifndef AOSD_PROFILER_DISABLED
-        if (!profdetail::on)
+        if (!profilerEnabled())
             return;
         cur->selfCycles += c;
         attributed += c;
-#else
-        (void)c;
-#endif
     }
 
     /** Attribute cycles to a named leaf child of the current scope,
@@ -212,31 +203,24 @@ class ProfScope
   public:
     explicit ProfScope(const char *name)
     {
-#ifndef AOSD_PROFILER_DISABLED
-        if (!profdetail::on)
-            return;
-        Profiler &p = Profiler::instance();
-        entryAttributed = p.attributedCycles();
-        entryGeneration = p.generation;
-        node = p.push(name);
-#else
-        (void)name;
-#endif
+        if (profilerEnabled())
+            enter(name);
     }
 
     ~ProfScope()
     {
-#ifndef AOSD_PROFILER_DISABLED
-        if (node)
-            Profiler::instance().pop(node, entryAttributed,
-                                     entryGeneration);
-#endif
+        if (observersCompiledIn && node)
+            leave();
     }
 
     ProfScope(const ProfScope &) = delete;
     ProfScope &operator=(const ProfScope &) = delete;
 
   private:
+    // Out of line, so a disabled scope inlines to a flag test.
+    void enter(const char *name);
+    void leave();
+
     ProfNode *node = nullptr;
     Cycles entryAttributed = 0;
     std::uint64_t entryGeneration = 0;

@@ -16,9 +16,8 @@
  *
  * Sampling is off by default; a disabled tick is one thread-local load
  * and a predictable branch (the ctrdetail::on / profdetail::on /
- * trcdetail::on pattern). Configure with -DAOSD_DISABLE_SAMPLER=ON to
- * compile the hooks out entirely (used to bound the disabled-but-
- * compiled-in overhead).
+ * trcdetail::on pattern), and -DAOSD_DISABLE_OBSERVERS=ON folds it
+ * away (sim/observers.hh).
  *
  * Sampler state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) samples its own cell, drivers open
@@ -36,6 +35,7 @@
 
 #include "sim/counters/counters.hh"
 #include "sim/json.hh"
+#include "sim/observers.hh"
 #include "sim/ticks.hh"
 
 namespace aosd
@@ -47,18 +47,14 @@ namespace smpdetail
  *  disabled fast path in the workload drivers' per-iteration loops is
  *  one load and a branch, and each simulation slice samples
  *  independently. */
-extern thread_local bool on;
+extern thread_local constinit bool on;
 } // namespace smpdetail
 
 /** Cheapest possible "is sampling on?" check for hot paths. */
 inline bool
 samplingEnabled()
 {
-#ifndef AOSD_SAMPLER_DISABLED
-    return smpdetail::on;
-#else
-    return false;
-#endif
+    return observersCompiledIn && smpdetail::on;
 }
 
 /** How a sampling session runs. */
@@ -136,16 +132,9 @@ class CounterSampler
     void
     tick(Cycles now, double aux = 0)
     {
-#ifndef AOSD_SAMPLER_DISABLED
-        if (!smpdetail::on)
-            return;
-        if (now < nextDue)
+        if (!samplingEnabled() || now < nextDue)
             return;
         take(now, aux);
-#else
-        (void)now;
-        (void)aux;
-#endif
     }
 
     /**

@@ -5,7 +5,7 @@ namespace aosd
 
 namespace spdetail
 {
-thread_local bool on = false;
+thread_local constinit bool on = false;
 } // namespace spdetail
 
 Json
@@ -90,10 +90,9 @@ void
 SpanTracer::beginRequest(const char *name, std::uint64_t id,
                          Cycles now)
 {
-#ifndef AOSD_SPANTRACE_DISABLED
-    if (!armed_)
+    if (!observersCompiledIn || !armed_)
         return;
-    if (spdetail::on)
+    if (spantraceEnabled())
         endRequest(now);
     requestRoot_ = SpanNode{};
     requestRoot_.name = name;
@@ -103,18 +102,12 @@ SpanTracer::beginRequest(const char *name, std::uint64_t id,
         {&requestRoot_, now, HwCounters::instance().snapshot(), false});
     ++gen_;
     spdetail::on = true;
-#else
-    (void)name;
-    (void)id;
-    (void)now;
-#endif
 }
 
 void
 SpanTracer::endRequest(Cycles now)
 {
-#ifndef AOSD_SPANTRACE_DISABLED
-    if (!spdetail::on)
+    if (!spantraceEnabled())
         return;
     if (stack_.empty()) {
         spdetail::on = false;
@@ -141,9 +134,6 @@ SpanTracer::endRequest(Cycles now)
     else
         ++session_.dropped;
     requestRoot_ = SpanNode{};
-#else
-    (void)now;
-#endif
 }
 
 void
@@ -166,7 +156,7 @@ SpanTracer::closeTop(Cycles now)
 SpanNode *
 SpanTracer::push(const char *name, Cycles now)
 {
-    if (!spdetail::on)
+    if (!spantraceEnabled())
         return nullptr;
     SpanNode *parent = stack_.back().node;
     parent->children.emplace_back();
@@ -180,7 +170,7 @@ SpanTracer::push(const char *name, Cycles now)
 void
 SpanTracer::pop(SpanNode *node, Cycles now, std::uint64_t gen)
 {
-    if (gen != gen_ || !spdetail::on)
+    if (gen != gen_ || !spantraceEnabled())
         return;
     while (stack_.size() > 1) {
         SpanNode *top = stack_.back().node;
@@ -193,7 +183,7 @@ SpanTracer::pop(SpanNode *node, Cycles now, std::uint64_t gen)
 SpanNode *
 SpanTracer::pushGroup(const char *name)
 {
-    if (!spdetail::on)
+    if (!spantraceEnabled())
         return nullptr;
     SpanNode *parent = stack_.back().node;
     parent->children.emplace_back();
@@ -207,7 +197,7 @@ SpanTracer::pushGroup(const char *name)
 void
 SpanTracer::popGroup(SpanNode *node, std::uint64_t gen)
 {
-    if (gen != gen_ || !spdetail::on)
+    if (gen != gen_ || !spantraceEnabled())
         return;
     while (stack_.size() > 1) {
         SpanNode *top = stack_.back().node;
@@ -220,13 +210,42 @@ SpanTracer::popGroup(SpanNode *node, std::uint64_t gen)
 void
 SpanTracer::leaf(const char *name, Cycles cycles)
 {
-    if (!spdetail::on)
+    if (!spantraceEnabled())
         return;
     SpanNode *parent = stack_.back().node;
     parent->children.emplace_back();
     SpanNode &node = parent->children.back();
     node.name = name;
     node.cycles = cycles;
+}
+
+void
+SpanScope::enter(const char *name, const Cycles &clock)
+{
+    SpanTracer &t = SpanTracer::instance();
+    clock_ = &clock;
+    gen_ = t.generation();
+    node_ = t.push(name, clock);
+}
+
+void
+SpanScope::leave()
+{
+    SpanTracer::instance().pop(node_, *clock_, gen_);
+}
+
+void
+SpanGroup::enter(const char *name)
+{
+    SpanTracer &t = SpanTracer::instance();
+    gen_ = t.generation();
+    node_ = t.pushGroup(name);
+}
+
+void
+SpanGroup::leave()
+{
+    SpanTracer::instance().popGroup(node_, gen_);
 }
 
 SpanSession

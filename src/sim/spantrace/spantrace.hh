@@ -17,9 +17,8 @@
  * Tracing is off by default; a disabled hook costs one non-atomic
  * thread-local load and a branch (the profdetail::on pattern —
  * spdetail::on is true only while a request is open inside an armed
- * session, so idle hooks never take the slow path). Configure with
- * -DAOSD_DISABLE_SPANTRACE=ON to compile the hooks out entirely (used
- * to bound the disabled-but-compiled-in overhead; see EXPERIMENTS.md).
+ * session, so idle hooks never take the slow path), and
+ * -DAOSD_DISABLE_OBSERVERS=ON folds it away (sim/observers.hh).
  *
  * Tracer state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) traces into its own session, and
@@ -37,6 +36,7 @@
 
 #include "sim/counters/counters.hh"
 #include "sim/json.hh"
+#include "sim/observers.hh"
 #include "sim/profile/histogram.hh"
 #include "sim/ticks.hh"
 
@@ -50,7 +50,7 @@ namespace spdetail
  *  simulator's hot loops is one non-atomic load and a branch. True
  *  only between beginRequest() and endRequest() of an armed session,
  *  so hooks outside any request cost the same as a disabled build. */
-extern thread_local bool on;
+extern thread_local constinit bool on;
 } // namespace spdetail
 
 /** Cheapest possible "is a traced request open?" check for hot
@@ -58,11 +58,7 @@ extern thread_local bool on;
 inline bool
 spantraceEnabled()
 {
-#ifndef AOSD_SPANTRACE_DISABLED
-    return spdetail::on;
-#else
-    return false;
-#endif
+    return observersCompiledIn && spdetail::on;
 }
 
 /** One span of a request's tree. Unlike ProfNode, children are not
@@ -205,31 +201,24 @@ class SpanScope
   public:
     SpanScope(const char *name, const Cycles &clock)
     {
-#ifndef AOSD_SPANTRACE_DISABLED
-        if (!spdetail::on)
-            return;
-        SpanTracer &t = SpanTracer::instance();
-        clock_ = &clock;
-        gen_ = t.generation();
-        node_ = t.push(name, clock);
-#else
-        (void)name;
-        (void)clock;
-#endif
+        if (spantraceEnabled())
+            enter(name, clock);
     }
 
     ~SpanScope()
     {
-#ifndef AOSD_SPANTRACE_DISABLED
-        if (node_)
-            SpanTracer::instance().pop(node_, *clock_, gen_);
-#endif
+        if (observersCompiledIn && node_)
+            leave();
     }
 
     SpanScope(const SpanScope &) = delete;
     SpanScope &operator=(const SpanScope &) = delete;
 
   private:
+    // Out of line, so a disabled scope inlines to a flag test.
+    void enter(const char *name, const Cycles &clock);
+    void leave();
+
     SpanNode *node_ = nullptr;
     const Cycles *clock_ = nullptr;
     std::uint64_t gen_ = 0;
@@ -245,29 +234,23 @@ class SpanGroup
   public:
     explicit SpanGroup(const char *name)
     {
-#ifndef AOSD_SPANTRACE_DISABLED
-        if (!spdetail::on)
-            return;
-        SpanTracer &t = SpanTracer::instance();
-        gen_ = t.generation();
-        node_ = t.pushGroup(name);
-#else
-        (void)name;
-#endif
+        if (spantraceEnabled())
+            enter(name);
     }
 
     ~SpanGroup()
     {
-#ifndef AOSD_SPANTRACE_DISABLED
-        if (node_)
-            SpanTracer::instance().popGroup(node_, gen_);
-#endif
+        if (observersCompiledIn && node_)
+            leave();
     }
 
     SpanGroup(const SpanGroup &) = delete;
     SpanGroup &operator=(const SpanGroup &) = delete;
 
   private:
+    void enter(const char *name);
+    void leave();
+
     SpanNode *node_ = nullptr;
     std::uint64_t gen_ = 0;
 };
@@ -294,13 +277,8 @@ class SpanPause
 inline void
 spanLeaf(const char *name, Cycles cycles)
 {
-#ifndef AOSD_SPANTRACE_DISABLED
-    if (spdetail::on)
+    if (spantraceEnabled())
         SpanTracer::instance().leaf(name, cycles);
-#else
-    (void)name;
-    (void)cycles;
-#endif
 }
 
 } // namespace aosd

@@ -7,7 +7,7 @@ namespace aosd
 
 namespace trcdetail
 {
-thread_local bool on = false;
+thread_local constinit bool on = false;
 } // namespace trcdetail
 
 const char *

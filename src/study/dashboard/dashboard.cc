@@ -124,22 +124,6 @@ jstr(const Json *j, const std::string &fallback = "")
     return j && j->isString() ? j->asString() : fallback;
 }
 
-/** "a.b.c" -> {"a","b","c"}. */
-std::vector<std::string>
-splitDots(const std::string &s)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        std::size_t dot = s.find('.', start);
-        if (dot == std::string::npos)
-            dot = s.size();
-        parts.push_back(s.substr(start, dot - start));
-        start = dot + 1;
-    }
-    return parts;
-}
-
 // ---- gate health ------------------------------------------------
 
 /** Worst reconciliation.explained_pct across a two-level

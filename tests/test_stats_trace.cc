@@ -73,7 +73,9 @@ TEST(JsonTest, ParseRejectsMalformedInput)
           std::string("{\"a\":}"), std::string("tru"),
           std::string("\"unterminated"),
           std::string("{\"a\":1}garbage"), std::string("[1 2]"), deep,
-          std::string("1e999999"), std::string("{\"a\":1,\"a\":5}")}) {
+          std::string("1e999999"), std::string("{\"a\":1,\"a\":5}"),
+          std::string("\"\\ud800\""), std::string("\"\\udc00x\""),
+          std::string("\"\\ud800\\u0041\"")}) {
         std::string err;
         Json v = Json::parse(bad, &err);
         EXPECT_TRUE(v.isNull()) << bad.substr(0, 40);
@@ -83,6 +85,19 @@ TEST(JsonTest, ParseRejectsMalformedInput)
     std::string err;
     Json::parse("{\"a\":1,\"a\":5}", &err);
     EXPECT_EQ(err, "duplicate key 'a' at offset 7");
+    Json::parse("[\"ok\", \"\\ud800\\u0041\"]", &err);
+    EXPECT_EQ(err, "unpaired high surrogate \\u escape at offset 8");
+    Json::parse("\"\\udc00x\"", &err);
+    EXPECT_EQ(err, "lone low surrogate \\u escape at offset 1");
+}
+
+TEST(JsonTest, SurrogatePairDecodesToOneCodePoint)
+{
+    std::string err;
+    Json s = Json::parse("\"\\ud83d\\ude00\"", &err);
+    ASSERT_TRUE(err.empty()) << err;
+    EXPECT_EQ(s.asString(), "\xF0\x9F\x98\x80");
+    EXPECT_TRUE(Json::parse(s.dump(), &err) == s) << err;
 }
 
 TEST(JsonTest, ObjectPreservesInsertionOrder)
