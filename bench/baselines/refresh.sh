@@ -13,6 +13,9 @@
 #   2. Runs the simperf benchmark suite twice (predecode on and off)
 #      and folds the two into BENCH_predecode.json speedups, plus the
 #      batched-vs-per-event charging ratio into BENCH_traffic.json.
+#      Exits non-zero, naming context.library_build_type, when the
+#      google-benchmark library is a debug build; it then writes no
+#      baseline file.
 #      These numbers are wall-clock and machine-dependent; they seed
 #      the bench trajectory and earn themselves MAD slack in the
 #      rolling band as real runs accumulate.
@@ -46,8 +49,22 @@ echo "== reference documents"
 echo "== benchmarks (predecode on)"
 "$BUILD"/bench/simperf \
     --benchmark_filter='BM_ReportFull|BM_WorkloadRun|BM_HandlerExecution|BM_TlbLookup|BM_LrpcSimulation|BM_PrimitiveSpanTraced|BM_KernelWindow|BM_TrafficRun|BM_DashboardRender' \
-    --benchmark_out="$OUT"/BENCH_simperf.json \
+    --benchmark_out="$TMP"/BENCH_simperf.json \
     --benchmark_out_format=json
+
+# A google-benchmark library built as debug times its own bookkeeping
+# along with the simulator; refuse to record such a run.
+python3 - "$TMP"/BENCH_simperf.json <<'EOF'
+import json, sys
+
+build_type = json.load(open(sys.argv[1]))['context'].get(
+    'library_build_type')
+if build_type == 'debug':
+    sys.exit('refresh.sh: context.library_build_type is "debug" in '
+             'the simperf output; rebuild against a release '
+             'google-benchmark library')
+EOF
+cp "$TMP"/BENCH_simperf.json "$OUT"/BENCH_simperf.json
 
 echo "== benchmarks (predecode off)"
 AOSD_NO_PREDECODE=1 "$BUILD"/bench/simperf \

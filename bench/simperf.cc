@@ -324,8 +324,10 @@ resetReportState()
 void
 BM_ReportFull(benchmark::State &state)
 {
-    // The whole figure grid, serial: the --jobs 1 wall-clock baseline
-    // that CI's BENCH_report.json speedup column divides by. Also the
+    // Every report figure, serial, with the R3000 Table 7 grid run
+    // once and shared by the table7, headline and kernel-window
+    // figures: the --jobs 1 wall-clock baseline that CI's
+    // BENCH_report.json speedup column divides by. Also the
     // predecode perf gate's numerator/denominator: CI runs the binary
     // twice, the second time under AOSD_NO_PREDECODE=1 (google-
     // benchmark owns argv, so the reference path is selected by
@@ -345,9 +347,10 @@ BENCHMARK(BM_ReportFull)->Unit(benchmark::kMillisecond)->UseRealTime();
 void
 BM_ReportParallel(benchmark::State &state)
 {
-    // The same grid fanned over N workers; real time, because the
-    // point is wall-clock speedup (CPU time only goes up with
-    // threads). The output is byte-identical to BM_ReportFull's.
+    // The same report, its one Table 7 grid run included, fanned
+    // over N workers; real time, because the point is wall-clock
+    // speedup (CPU time only goes up with threads). The output is
+    // byte-identical to BM_ReportFull's.
     for (auto _ : state) {
         ParallelRunner runner(
             static_cast<unsigned>(state.range(0)));

@@ -107,7 +107,7 @@ Study::threadState()
 std::vector<Table7Row>
 Study::machStudy(MachineId m, ParallelRunner &runner)
 {
-    return runMachGrid(sharedCostDb().machine(m), runner);
+    return runMachGrid(makeMachine(m), runner);
 }
 
 Table7Row

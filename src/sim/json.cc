@@ -1,6 +1,7 @@
 #include "sim/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -175,27 +176,51 @@ jsonQuote(const std::string &s)
 namespace
 {
 
-/** Shortest-roundtrip-ish number formatting: integers stay integral. */
-std::string
-formatNumber(double d)
+/**
+ * Append `d` as the shortest "%.*g" text that round-trips through
+ * strtod (precision 1 to 16, else 17); integers below 1e15 print
+ * integral, as "%.0f".
+ *
+ * The search starts at the digit count of to_chars' shortest
+ * round-trip form: no "%.*g" with fewer significant digits can read
+ * back as `d`. It still checks each candidate with strtod and steps
+ * up, because at a power of two the correctly rounded candidate can
+ * miss while another of the same length hits.
+ */
+void
+appendNumber(std::string &out, double d)
 {
-    if (std::isnan(d) || std::isinf(d))
-        return "null"; // JSON has no NaN/Inf
-    if (d == std::floor(d) && std::fabs(d) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", d);
-        return buf;
+    if (std::isnan(d) || std::isinf(d)) {
+        out += "null"; // JSON has no NaN/Inf
+        return;
     }
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    // Trim to the shortest representation that round-trips.
-    for (int prec = 1; prec < 17; ++prec) {
-        char probe[32];
-        std::snprintf(probe, sizeof(probe), "%.*g", prec, d);
-        if (std::strtod(probe, nullptr) == d)
-            return probe;
+    char *end;
+    if (d == std::floor(d) && std::fabs(d) < 1e15) {
+        end = std::to_chars(buf, buf + sizeof(buf), d,
+                            std::chars_format::fixed, 0)
+                  .ptr;
+        out.append(buf, end);
+        return;
     }
-    return buf;
+    char *sci_end =
+        std::to_chars(buf, buf + sizeof(buf), d,
+                      std::chars_format::scientific)
+            .ptr;
+    int prec = 0;
+    for (const char *c = buf; c != sci_end && *c != 'e'; ++c)
+        prec += *c >= '0' && *c <= '9';
+    for (;; ++prec) {
+        end = std::to_chars(buf, buf + sizeof(buf) - 1, d,
+                            std::chars_format::general, prec)
+                  .ptr;
+        if (prec >= 17)
+            break;
+        *end = '\0';
+        if (std::strtod(buf, nullptr) == d)
+            break;
+    }
+    out.append(buf, end);
 }
 
 } // namespace
@@ -218,7 +243,7 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += boolValue ? "true" : "false";
         break;
       case Kind::Number:
-        out += formatNumber(numValue);
+        appendNumber(out, numValue);
         break;
       case Kind::String:
         out += jsonQuote(strValue);

@@ -1,6 +1,7 @@
 #include "study/figures.hh"
 
 #include <functional>
+#include <iterator>
 #include <utility>
 
 #include "arch/machines.hh"
@@ -12,6 +13,7 @@
 #include "os/ipc/lrpc.hh"
 #include "os/ipc/rpc.hh"
 #include "os/kernel/kernel.hh"
+#include "sim/logging.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "workload/app_profile.hh"
 #include "workload/os_model.hh"
@@ -296,9 +298,14 @@ table7RowFigures(std::vector<Figure> &out, const Table7Row &r)
 std::vector<Figure>
 table7Figures(ParallelRunner &runner)
 {
+    return table7Figures(Study::machStudy(MachineId::R3000, runner));
+}
+
+std::vector<Figure>
+table7Figures(const std::vector<Table7Row> &grid)
+{
     std::vector<Figure> out;
-    for (const Table7Row &r :
-         Study::machStudy(MachineId::R3000, runner))
+    for (const Table7Row &r : grid)
         table7RowFigures(out, r);
     return out;
 }
@@ -306,14 +313,19 @@ table7Figures(ParallelRunner &runner)
 std::vector<Figure>
 headlineFigures(ParallelRunner &runner)
 {
+    return headlineFigures(Study::machStudy(MachineId::R3000, runner));
+}
+
+std::vector<Figure>
+headlineFigures(const std::vector<Table7Row> &grid)
+{
     const PrimitiveCostDb &db = sharedCostDb();
     std::vector<Figure> out;
 
     // s5: andrew-remote address-space-switch inflation, 3.0 vs 2.5,
     // and the SPARC's syscall+switch overhead for the same script.
-    auto rows = Study::machStudy(MachineId::R3000, runner);
     double sw25 = 0, sw30 = 0;
-    for (const Table7Row &r : rows) {
+    for (const Table7Row &r : grid) {
         if (r.app != "andrew-remote")
             continue;
         double sw = static_cast<double>(r.addressSpaceSwitches);
@@ -326,7 +338,7 @@ headlineFigures(ParallelRunner &runner)
         out.push_back(fig("headlines",
                           "andrew_remote_switch_inflation", "x",
                           sw30 / sw25, 33.0));
-    for (const Table7Row &r : rows) {
+    for (const Table7Row &r : grid) {
         if (r.app != "andrew-remote" ||
             r.structure != OsStructure::SmallKernel)
             continue;
@@ -416,15 +428,23 @@ countersFigures(ParallelRunner &runner)
 std::vector<Figure>
 kernelWindowFigures(ParallelRunner &runner)
 {
-    // The Table 7 grid again, this time with each cell reconciling
-    // counted kernel events x primitive costs against the cycles the
-    // kernel actually charged to primitives over the whole run.
     OsModelConfig config;
     config.measureKernelWindow = true;
-    MachineDesc machine = makeMachine(MachineId::R3000);
+    return kernelWindowFigures(
+        runMachGrid(makeMachine(MachineId::R3000), runner, config));
+}
 
+std::vector<Figure>
+kernelWindowFigures(const std::vector<Table7Row> &grid)
+{
+    // Each Table 7 cell reconciles counted kernel events x primitive
+    // costs against the cycles the kernel actually charged to
+    // primitives over the whole run.
     std::vector<Figure> out;
-    for (const Table7Row &r : runMachGrid(machine, runner, config)) {
+    for (const Table7Row &r : grid) {
+        if (!r.hasKernelWindow)
+            panic("kernelWindowFigures: row %s ran without "
+                  "measureKernelWindow", r.app.c_str());
         const char *os = r.structure == OsStructure::Monolithic
                              ? "mach25"
                              : "mach30";
@@ -548,24 +568,42 @@ calibrationFigures(ParallelRunner &runner)
 std::vector<Figure>
 allFigures(ParallelRunner &runner)
 {
-    using Builder = std::vector<Figure> (*)(ParallelRunner &);
-    std::vector<Figure> out;
-    for (Builder fn :
-         {static_cast<Builder>(table1Figures),
-          static_cast<Builder>(table2Figures),
-          static_cast<Builder>(table3Figures),
-          static_cast<Builder>(table4Figures),
-          static_cast<Builder>(table5Figures),
-          static_cast<Builder>(table6Figures),
-          static_cast<Builder>(table7Figures),
-          static_cast<Builder>(headlineFigures),
-          static_cast<Builder>(countersFigures),
-          static_cast<Builder>(kernelWindowFigures),
-          static_cast<Builder>(calibrationFigures)}) {
-        auto part = fn(runner);
-        out.insert(out.end(), part.begin(), part.end());
-    }
-    return out;
+    return reportFigures(runner).figures;
+}
+
+ReportFigures
+reportFigures(ParallelRunner &runner, Cycles samplingIntervalCycles)
+{
+    auto append = [](std::vector<Figure> &out, std::vector<Figure> part) {
+        out.insert(out.end(), std::make_move_iterator(part.begin()),
+                   std::make_move_iterator(part.end()));
+    };
+    ReportFigures run;
+    append(run.figures, table1Figures(runner));
+    append(run.figures, table2Figures(runner));
+    append(run.figures, table3Figures(runner));
+    append(run.figures, table4Figures(runner));
+    append(run.figures, table5Figures(runner));
+    append(run.figures, table6Figures(runner));
+    std::vector<Figure> counters = countersFigures(runner);
+    std::vector<Figure> calibration = calibrationFigures(runner);
+
+    // The grid runs after every builder that does not read it. Its
+    // rows (with sampling on, megabytes of series) are then the
+    // newest allocations on the workers' heaps, so the caller's
+    // freeing them returns the memory rather than leaving a hole
+    // under the other builders' thread-local caches.
+    OsModelConfig config;
+    config.measureKernelWindow = true;
+    config.samplingIntervalCycles = samplingIntervalCycles;
+    run.grid = runMachGrid(makeMachine(MachineId::R3000), runner, config);
+
+    append(run.figures, table7Figures(run.grid));
+    append(run.figures, headlineFigures(run.grid));
+    append(run.figures, std::move(counters));
+    append(run.figures, kernelWindowFigures(run.grid));
+    append(run.figures, std::move(calibration));
+    return run;
 }
 
 } // namespace aosd

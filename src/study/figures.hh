@@ -17,6 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "sim/ticks.hh"
+#include "workload/os_model.hh"
+
 namespace aosd
 {
 
@@ -81,10 +84,12 @@ std::vector<Figure> table6Figures(ParallelRunner &runner);
 
 /** Table 7: Mach 2.5 vs 3.0 OS-primitive reliance, vs paper. */
 std::vector<Figure> table7Figures(ParallelRunner &runner);
+std::vector<Figure> table7Figures(const std::vector<Table7Row> &grid);
 
 /** Headline prose anchors (context-switch inflation, SPARC overhead
  *  seconds, register-window share...). */
 std::vector<Figure> headlineFigures(ParallelRunner &runner);
+std::vector<Figure> headlineFigures(const std::vector<Table7Row> &grid);
 
 /** Hardware-counter reconciliation: percent of each Table 1
  *  machine x primitive's cycles explained by event counts times
@@ -95,6 +100,9 @@ std::vector<Figure> countersFigures(ParallelRunner &runner);
  *  (app, OS structure) cell's charged primitive cycles explained by
  *  counted kernel events times the machine's primitive costs. */
 std::vector<Figure> kernelWindowFigures(ParallelRunner &runner);
+/** The same from rows run with measureKernelWindow. */
+std::vector<Figure>
+kernelWindowFigures(const std::vector<Table7Row> &grid);
 
 /** Per-machine counter calibration: the §2.3/§3.2 event rates the
  *  paper argues from — write-buffer stalls per store (DS3100's R2000
@@ -102,8 +110,27 @@ std::vector<Figure> kernelWindowFigures(ParallelRunner &runner);
  *  SPARC windows spilled per switch — measured from counted runs. */
 std::vector<Figure> calibrationFigures(ParallelRunner &runner);
 
-/** All of the above, in table order. */
+/** All of the above, in table order. The (ParallelRunner &) forms
+ *  of the Table 7 builders each run their own grid; this runs one
+ *  for all three (see ReportFigures). */
 std::vector<Figure> allFigures(ParallelRunner &runner);
+
+/** allFigures() together with the Table 7 grid its table7, headline
+ *  and kernel-window figures read. */
+struct ReportFigures
+{
+    std::vector<Figure> figures;
+    /** The 14 R3000 (structure, app) rows, structure-major, run with
+     *  kernel-window measurement armed and, when
+     *  samplingIntervalCycles is non-zero, counter sampling too, so
+     *  the rows can also feed timeseries.json. Arming the observers
+     *  changes no other field of a row. */
+    std::vector<Table7Row> grid;
+};
+
+/** Every report figure from one run of the R3000 Table 7 grid. */
+ReportFigures reportFigures(ParallelRunner &runner,
+                            Cycles samplingIntervalCycles = 0);
 
 } // namespace aosd
 

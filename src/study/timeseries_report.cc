@@ -1,6 +1,7 @@
 #include "study/timeseries_report.hh"
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "arch/machines.hh"
@@ -16,16 +17,8 @@ namespace
 {
 
 Json
-table7Section(ParallelRunner &runner, const TimeseriesOptions &opts)
+table7Section(std::vector<Table7Row> rows, const TimeseriesOptions &opts)
 {
-    OsModelConfig config;
-    config.samplingIntervalCycles = opts.table7IntervalCycles;
-    config.measureKernelWindow = true;
-
-    MachineDesc machine = makeMachine(opts.table7Machine);
-    std::vector<Table7Row> rows =
-        runMachGrid(machine, runner, config);
-
     Json cells = Json::object();
     for (const Table7Row &row : rows) {
         const char *os = row.structure == OsStructure::Monolithic
@@ -126,10 +119,24 @@ Json
 buildTimeseriesDoc(ParallelRunner &runner,
                    const TimeseriesOptions &opts)
 {
+    OsModelConfig config;
+    config.samplingIntervalCycles = opts.table7IntervalCycles;
+    config.measureKernelWindow = true;
+    return buildTimeseriesDoc(
+        runner,
+        runMachGrid(makeMachine(opts.table7Machine), runner, config),
+        opts);
+}
+
+Json
+buildTimeseriesDoc(ParallelRunner &runner,
+                   std::vector<Table7Row> table7Rows,
+                   const TimeseriesOptions &opts)
+{
     Json doc = Json::object();
     doc.set("schema_version", Json(timeseriesSchemaVersion));
     doc.set("generator", Json("aosd_report --timeseries"));
-    doc.set("table7", table7Section(runner, opts));
+    doc.set("table7", table7Section(std::move(table7Rows), opts));
     doc.set("ref_trace", refTraceSection(runner, opts));
     doc.set("synapse", synapseSection(runner, opts));
     return doc;

@@ -25,11 +25,13 @@
 #include "sim/ticks.hh"
 
 #include <cstdint>
+#include <vector>
 
 namespace aosd
 {
 
 class ParallelRunner;
+struct Table7Row;
 
 /** Knobs of the timeseries document build. */
 struct TimeseriesOptions
@@ -48,6 +50,16 @@ struct TimeseriesOptions
 /** Build the full timeseries.json document, fanning the independent
  *  cells across `runner`'s workers. */
 Json buildTimeseriesDoc(ParallelRunner &runner,
+                        const TimeseriesOptions &opts = {});
+
+/** The same document from a Table 7 grid the caller already ran on
+ *  opts.table7Machine with measureKernelWindow on and
+ *  samplingIntervalCycles = opts.table7IntervalCycles (for the
+ *  default options: reportFigures(runner,
+ *  opts.table7IntervalCycles).grid). The rows are consumed; move
+ *  them in rather than copy their series. */
+Json buildTimeseriesDoc(ParallelRunner &runner,
+                        std::vector<Table7Row> table7Rows,
                         const TimeseriesOptions &opts = {});
 
 inline constexpr int timeseriesSchemaVersion = 1;

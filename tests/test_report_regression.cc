@@ -19,7 +19,9 @@
 #include <sstream>
 
 #include "sim/parallel/parallel_runner.hh"
+#include "study/figures.hh"
 #include "study/report.hh"
+#include "study/timeseries_report.hh"
 
 using namespace aosd;
 
@@ -68,6 +70,19 @@ TEST(ReportRegression, EveryFigureMatchesSnapshot)
             << " figure(s) drifted. If the change is intentional, "
                "regenerate the snapshot: aosd_report --json "
                "tests/expected_report.json";
+}
+
+TEST(ReportRegression, SampledGridGivesTheSameReport)
+{
+    // aosd_report --timeseries builds the report from the grid it
+    // samples for timeseries.json; the report must not notice.
+    ParallelRunner serial(1);
+    ReportFigures sampled = reportFigures(
+        serial, TimeseriesOptions{}.table7IntervalCycles);
+    ASSERT_FALSE(sampled.grid.empty());
+    EXPECT_FALSE(sampled.grid.front().timeseries.empty());
+    EXPECT_EQ(buildReport(sampled.figures).dump(1),
+              buildReport(serial).dump(1));
 }
 
 TEST(ReportRegression, SnapshotCoversRequiredTables)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "arch/machines.hh"
 #include "sim/counters/counters.hh"
@@ -50,20 +51,20 @@ class SamplingTest : public ::testing::Test
     }
 };
 
-/** A run's identity fields, for sampled-vs-unsampled comparisons. */
+/** Every non-observer field of two rows, compared exactly. */
 void
 expectSameRow(const Table7Row &a, const Table7Row &b)
 {
     EXPECT_EQ(a.app, b.app);
-    EXPECT_DOUBLE_EQ(a.elapsedSeconds, b.elapsedSeconds);
+    EXPECT_EQ(a.structure, b.structure);
+    EXPECT_EQ(a.elapsedSeconds, b.elapsedSeconds);
     EXPECT_EQ(a.addressSpaceSwitches, b.addressSpaceSwitches);
     EXPECT_EQ(a.threadSwitches, b.threadSwitches);
     EXPECT_EQ(a.systemCalls, b.systemCalls);
     EXPECT_EQ(a.emulatedInstructions, b.emulatedInstructions);
     EXPECT_EQ(a.kernelTlbMisses, b.kernelTlbMisses);
     EXPECT_EQ(a.otherExceptions, b.otherExceptions);
-    EXPECT_DOUBLE_EQ(a.percentTimeInPrimitives,
-                     b.percentTimeInPrimitives);
+    EXPECT_EQ(a.percentTimeInPrimitives, b.percentTimeInPrimitives);
 }
 
 TEST_F(SamplingTest, OffByDefaultAndTickIsANoOp)
@@ -173,20 +174,28 @@ TEST_F(SamplingTest, SeriesJsonShape)
 
 TEST_F(SamplingTest, SamplingLeavesTable7RowUnchanged)
 {
+    // aosd_report runs the grid once with both observers armed and
+    // feeds the rows to every figure, so each non-observer field of
+    // each cell must match the plain grid exactly.
     MachineDesc machine = makeMachine(MachineId::R3000);
-    AppProfile app = table7Workloads().front();
-
-    MachSystem plain(machine, OsStructure::Monolithic);
-    Table7Row base = plain.run(app);
-    EXPECT_TRUE(base.timeseries.empty());
+    ParallelRunner runner(1);
+    std::vector<Table7Row> plain = runMachGrid(machine, runner);
 
     OsModelConfig cfg;
     cfg.samplingIntervalCycles = 1'000'000;
-    MachSystem sampled(machine, OsStructure::Monolithic, cfg);
-    Table7Row row = sampled.run(app);
+    cfg.measureKernelWindow = true;
+    std::vector<Table7Row> armed = runMachGrid(machine, runner, cfg);
 
-    expectSameRow(base, row);
-    EXPECT_GE(row.timeseries.samples.size(), 10u);
+    ASSERT_EQ(plain.size(), 14u);
+    ASSERT_EQ(armed.size(), plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+        SCOPED_TRACE(plain[i].app);
+        expectSameRow(plain[i], armed[i]);
+        EXPECT_TRUE(plain[i].timeseries.empty());
+        EXPECT_FALSE(plain[i].hasKernelWindow);
+        EXPECT_GE(armed[i].timeseries.samples.size(), 10u);
+        EXPECT_TRUE(armed[i].hasKernelWindow);
+    }
 }
 
 TEST_F(SamplingTest, EveryTable7CellEmitsAtLeastTenSamples)

@@ -7,6 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+#include <utility>
+
 #include "arch/machines.hh"
 #include "os/kernel/kernel.hh"
 #include "sim/json.hh"
@@ -98,6 +108,115 @@ TEST(JsonTest, SurrogatePairDecodesToOneCodePoint)
     ASSERT_TRUE(err.empty()) << err;
     EXPECT_EQ(s.asString(), "\xF0\x9F\x98\x80");
     EXPECT_TRUE(Json::parse(s.dump(), &err) == s) << err;
+}
+
+namespace
+{
+
+/** The number formatter Json::dump used before to_chars: the first
+ *  "%.*g" precision from 1 to 16 that reads back through strtod,
+ *  else "%.17g"; integers below 1e15 as "%.0f". The oracle the
+ *  current formatter must match byte for byte. */
+std::string
+probeLoopNumber(double d)
+{
+    if (std::isnan(d) || std::isinf(d))
+        return "null";
+    char buf[32];
+    if (d == std::floor(d) && std::fabs(d) < 1e15) {
+        std::snprintf(buf, sizeof(buf), "%.0f", d);
+        return buf;
+    }
+    for (int prec = 1; prec < 17; ++prec) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
+        if (std::strtod(buf, nullptr) == d)
+            return buf;
+    }
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+    return buf;
+}
+
+} // namespace
+
+TEST(JsonTest, NumbersDumpAsShortestRoundTrip)
+{
+    const double two_m24 = std::ldexp(1.0, -24);
+    const double two_89 = std::ldexp(1.0, 89);
+    const std::pair<double, const char *> fixed[] = {
+        {0.0, "0"},
+        {-0.0, "-0"},
+        {42.0, "42"},
+        {-17.0, "-17"},
+        {999999999999999.0, "999999999999999"},
+        {std::numeric_limits<double>::quiet_NaN(), "null"},
+        {-std::numeric_limits<double>::infinity(), "null"},
+        // Subnormals and the ends of the range.
+        {std::numeric_limits<double>::denorm_min(), "5e-324"},
+        {-std::numeric_limits<double>::denorm_min(), "-5e-324"},
+        {std::nextafter(DBL_MIN, 0.0), "2.225073858507201e-308"},
+        {DBL_MIN, "2.2250738585072014e-308"},
+        {DBL_MAX, "1.7976931348623157e+308"},
+        {-DBL_MAX, "-1.7976931348623157e+308"},
+        // 1e15 is where integers stop printing as "%.0f".
+        {1e15, "1e+15"},
+        {-1e15, "-1e+15"},
+        {std::nextafter(1e15, 0.0), "999999999999999.9"},
+        {std::nextafter(1e15, INFINITY), "1000000000000000.1"},
+        {std::ldexp(1.0, 53), "9007199254740992"},
+        {0.1, "0.1"},
+        {1e-5, "1e-05"},
+        {123456.5, "123456.5"},
+        {-17.25, "-17.25"},
+        {1.0 / 3.0, "0.3333333333333333"},
+        // Around powers of two. At 2^-24, 2^89 and 2^-1017 the
+        // correctly rounded 16-digit candidate reads back as a
+        // neighbour, so the probe steps up to 17 digits.
+        {std::nextafter(1.0, 2.0), "1.0000000000000002"},
+        {std::nextafter(1.0, 0.0), "0.9999999999999999"},
+        {two_m24, "5.9604644775390625e-08"},
+        {std::nextafter(two_m24, 0.0), "5.960464477539062e-08"},
+        {std::nextafter(two_m24, 1.0), "5.960464477539064e-08"},
+        {two_89, "6.1897001964269014e+26"},
+        {std::nextafter(two_89, 0.0), "6.189700196426901e+26"},
+        {std::nextafter(two_89, INFINITY), "6.189700196426903e+26"},
+        {std::ldexp(1.0, -1017), "7.1202363472230444e-307"},
+    };
+    for (const auto &[d, text] : fixed) {
+        EXPECT_EQ(Json(d).dump(), text) << std::hexfloat << d;
+        EXPECT_EQ(probeLoopNumber(d), text) << std::hexfloat << d;
+    }
+
+    // Seeded property check against the probe loop: random bit
+    // patterns (every exponent, subnormals included), short scaled
+    // decimals like the simulator's figures, and ratios.
+    std::mt19937_64 rng(20260417);
+    constexpr int n = 1'000'002;
+    int mismatches = 0;
+    for (int i = 0; i < n; ++i) {
+        double d;
+        switch (i % 3) {
+          case 0: {
+            std::uint64_t bits = rng();
+            std::memcpy(&d, &bits, sizeof(d));
+            break;
+          }
+          case 1:
+            d = static_cast<double>(rng() % 2'000'001) /
+                std::pow(10.0, static_cast<double>(rng() % 12));
+            if (rng() & 1)
+                d = -d;
+            break;
+          default:
+            d = static_cast<double>(rng() % 100'000 + 1) /
+                static_cast<double>(rng() % 100'000 + 1);
+        }
+        std::string want = probeLoopNumber(d);
+        std::string got = Json(d).dump();
+        if (got != want && ++mismatches <= 5)
+            ADD_FAILURE() << std::hexfloat << d << ": dumped " << got
+                          << ", probe loop " << want;
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(JsonTest, ObjectPreservesInsertionOrder)

@@ -32,12 +32,14 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "sim/cli.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/stats.hh"
 #include "sim/table.hh"
 #include "sim/trace.hh"
+#include "study/figures.hh"
 #include "study/report.hh"
 #include "study/span_report.hh"
 #include "study/timeseries_report.hh"
@@ -126,11 +128,22 @@ main(int argc, char **argv)
     ParallelRunner runner(jobs);
     if (!stats_path.empty())
         runner.setCollectStats(true);
-    Json report = buildReport(runner);
+    // One run of the Table 7 grid feeds the report and, with
+    // --timeseries, the sampled table7 section too: arming the
+    // sampler changes no figure.
+    static_assert(TimeseriesOptions{}.table7Machine == MachineId::R3000,
+                  "the timeseries table7 section reads the report grid");
+    ReportFigures run = reportFigures(
+        runner, timeseries_path.empty()
+                    ? 0
+                    : TimeseriesOptions{}.table7IntervalCycles);
+    Json report = buildReport(run.figures);
 
     if (!timeseries_path.empty() &&
         !writeOutput(timeseries_path,
-                     buildTimeseriesDoc(runner).dump(1), "timeseries"))
+                     buildTimeseriesDoc(runner, std::move(run.grid))
+                         .dump(1),
+                     "timeseries"))
         return exitError;
 
     if (!spans_path.empty() &&
