@@ -110,7 +110,7 @@ BM_HandlerExecutionTraced(benchmark::State &state)
     // Same work again with the tracer on: the delta from
     // BM_HandlerExecution is the tracer's enabled cost. With it off,
     // every trace site in the exec/mem hot paths is a single
-    // thread-local flag test (trcdetail::on), so BM_HandlerExecution
+    // thread-local flag test (tracerEnabled()), so BM_HandlerExecution
     // itself is the disabled cost.
     MachineDesc m = makeMachine(MachineId::R3000);
     HandlerProgram prog = buildHandler(m, Primitive::Trap);
@@ -132,7 +132,7 @@ BM_PrimitiveSpanTraced(benchmark::State &state)
     // A full span-traced request around one kernel primitive: the
     // begin/end bookkeeping, the RAII scope inside syscall() and the
     // per-phase leaves. With spantrace off, every hook is a single
-    // thread-local flag test (spdetail::on), so comparing the plain
+    // thread-local flag test (spantraceEnabled()), so comparing the plain
     // kernel benchmarks across builds with/without
     // -DAOSD_DISABLE_OBSERVERS bounds the disabled cost.
     MachineDesc m = makeMachine(MachineId::R3000);

@@ -1,73 +1,77 @@
 #include "cpu/exec_model.hh"
 
+#include <array>
+#include <utility>
+
 #include "cpu/decoded_program.hh"
 #include "cpu/handlers.hh"
+#include "sim/attribution.hh"
 #include "sim/counters/counters.hh"
 #include "sim/logging.hh"
-#include "sim/profile/profile.hh"
-#include "sim/spantrace/spantrace.hh"
-#include "sim/trace.hh"
 
 namespace aosd
 {
 
-void
-profileBreakdown(const CycleBreakdown &bd)
+namespace
 {
-    if (!profilerEnabled())
+
+/** The ten causes of a CycleBreakdown, in attribution order: the one
+ *  table behind the profiler's cause leaves and operator+=. */
+constexpr std::pair<const char *, Cycles CycleBreakdown::*> causeTable[] = {
+    {"base", &CycleBreakdown::base},
+    {"write_buffer_stall", &CycleBreakdown::writeBufferStall},
+    {"cache_miss_stall", &CycleBreakdown::cacheMissStall},
+    {"uncached", &CycleBreakdown::uncached},
+    {"ctrl_reg", &CycleBreakdown::ctrlReg},
+    {"microcode", &CycleBreakdown::microcode},
+    {"tlb_ops", &CycleBreakdown::tlbOps},
+    {"cache_maintenance", &CycleBreakdown::cacheMaintenance},
+    {"trap_hardware", &CycleBreakdown::trapHardware},
+    {"fpu_sync", &CycleBreakdown::fpuSync},
+};
+
+std::array<ObsLeaf, std::size(causeTable)>
+causes(const CycleBreakdown &bd)
+{
+    std::array<ObsLeaf, std::size(causeTable)> out;
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = {causeTable[i].first, bd.*causeTable[i].second};
+    return out;
+}
+
+} // namespace
+
+void
+obsPhase(const PhaseResult &ph, bool traced)
+{
+    if (!attributionEnabled())
         return;
-    Profiler &p = Profiler::instance();
-    auto add = [&](const char *cause, Cycles c) {
-        if (c)
-            p.addLeafCycles(cause, c);
-    };
-    add("base", bd.base);
-    add("write_buffer_stall", bd.writeBufferStall);
-    add("cache_miss_stall", bd.cacheMissStall);
-    add("uncached", bd.uncached);
-    add("ctrl_reg", bd.ctrlReg);
-    add("microcode", bd.microcode);
-    add("tlb_ops", bd.tlbOps);
-    add("cache_maintenance", bd.cacheMaintenance);
-    add("trap_hardware", bd.trapHardware);
-    add("fpu_sync", bd.fpuSync);
+    obsCauses({phaseSlug(ph.kind), ph.cycles,
+               traced ? phaseName(ph.kind) : nullptr, ph.instructions},
+              causes(ph.breakdown), TraceEvent::ExecPhase);
 }
 
 void
-profileBreakdownRepeated(const CycleBreakdown &bd, std::uint64_t k)
+obsPhasesRepeated(const char *scope,
+                  const std::vector<PhaseResult> &phases,
+                  std::uint64_t n)
 {
-    if (!profilerEnabled() || k == 0)
+    if (!attributionEnabled())
         return;
-    Profiler &p = Profiler::instance();
-    auto add = [&](const char *cause, Cycles c) {
-        if (c)
-            p.addLeafCyclesRepeated(cause, c, k);
-    };
-    add("base", bd.base);
-    add("write_buffer_stall", bd.writeBufferStall);
-    add("cache_miss_stall", bd.cacheMissStall);
-    add("uncached", bd.uncached);
-    add("ctrl_reg", bd.ctrlReg);
-    add("microcode", bd.microcode);
-    add("tlb_ops", bd.tlbOps);
-    add("cache_maintenance", bd.cacheMaintenance);
-    add("trap_hardware", bd.trapHardware);
-    add("fpu_sync", bd.fpuSync);
+    ObsRepeat outer(scope, n);
+    for (const PhaseResult &ph : phases) {
+        ObsRepeat phase(phaseSlug(ph.kind), n);
+        for (const ObsLeaf &c : causes(ph.breakdown))
+            if (c.cycles)
+                obsLeafRepeated(c.name, c.cycles, n);
+    }
 }
 
 CycleBreakdown &
 CycleBreakdown::operator+=(const CycleBreakdown &o)
 {
-    base += o.base;
-    writeBufferStall += o.writeBufferStall;
-    cacheMissStall += o.cacheMissStall;
-    uncached += o.uncached;
-    ctrlReg += o.ctrlReg;
-    microcode += o.microcode;
-    tlbOps += o.tlbOps;
-    cacheMaintenance += o.cacheMaintenance;
-    trapHardware += o.trapHardware;
-    fpuSync += o.fpuSync;
+    for (const auto &cause : causeTable)
+        this->*cause.second += o.*cause.second;
     return *this;
 }
 
@@ -258,7 +262,6 @@ ExecModel::runStream(const InstrStream &stream, Cycles start_cycle)
         }
     }
     result.cycles = now - start_cycle;
-    profileBreakdown(result.breakdown);
     return result;
 }
 
@@ -269,16 +272,10 @@ ExecModel::run(const HandlerProgram &program)
     ExecResult result;
     Cycles now = 0;
     for (const auto &phase : program.phases) {
-        ProfScope prof(phaseSlug(phase.kind));
         PhaseResult pr = runStream(phase.code, now);
         pr.kind = phase.kind;
         now += pr.cycles;
-        spanLeaf(phaseSlug(pr.kind), pr.cycles);
-        if (tracerEnabled())
-            Tracer::instance().completeHere(pr.cycles,
-                                            TraceEvent::ExecPhase,
-                                            phaseName(pr.kind),
-                                            pr.instructions);
+        obsPhase(pr, /*traced=*/true);
         result.instructions += pr.instructions;
         result.breakdown += pr.breakdown;
         result.phases.push_back(std::move(pr));
@@ -294,7 +291,6 @@ ExecModel::runDecoded(const DecodedProgram &dec)
     ExecResult result;
     Cycles now = 0;
     for (const DecodedPhase &dp : dec.phases) {
-        ProfScope prof(phaseSlug(dp.kind));
         PhaseResult pr;
         pr.kind = dp.kind;
         pr.instructions = dp.instructions;
@@ -318,11 +314,10 @@ ExecModel::runDecoded(const DecodedProgram &dec)
         }
         now += dp.tailCycles;
         pr.cycles = now - start;
-        spanLeaf(phaseSlug(dp.kind), pr.cycles);
         if (countersEnabled())
             for (const auto &[c, n] : dp.constCounters)
                 countEvent(c, n);
-        profileBreakdown(pr.breakdown);
+        obsPhase(pr, /*traced=*/false);
         result.instructions += pr.instructions;
         result.breakdown += pr.breakdown;
         result.phases.push_back(std::move(pr));

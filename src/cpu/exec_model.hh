@@ -19,6 +19,7 @@
 #include "arch/isa.hh"
 #include "arch/machine_desc.hh"
 #include "mem/write_buffer.hh"
+#include "sim/observers.hh"
 
 namespace aosd
 {
@@ -50,26 +51,6 @@ struct CycleBreakdown
     CycleBreakdown &operator+=(const CycleBreakdown &o);
 };
 
-/**
- * Attribute a breakdown's cycles to cause-named leaf children of the
- * profiler's current scope ("base", "write_buffer_stall",
- * "cache_miss_stall", ...). No-op when profiling is disabled. The
- * execution model calls this once per stream; the kernel reuses it to
- * attribute cached primitive costs phase by phase.
- */
-void profileBreakdown(const CycleBreakdown &bd);
-
-/**
- * Batched profileBreakdown: attribute `k` repetitions of a breakdown
- * in one closed-form update per cause — byte-identical to calling
- * profileBreakdown(bd) k times (same leaf creation order, entry
- * counts and histogram contents). The kernel's batch charger uses
- * this to replay a cached phase's attribution for a whole run of
- * homogeneous events.
- */
-void profileBreakdownRepeated(const CycleBreakdown &bd,
-                              std::uint64_t k);
-
 /** Result of executing one phase. */
 struct PhaseResult
 {
@@ -78,6 +59,36 @@ struct PhaseResult
     std::uint64_t instructions = 0;
     CycleBreakdown breakdown;
 };
+
+/**
+ * Report one executed handler phase to the attribution hook
+ * (sim/attribution.hh): a profiler scope named for the phase
+ * (phaseSlug) holding a leaf per nonzero breakdown cause
+ * ("base", "write_buffer_stall", ...), a span leaf of its cycles and,
+ * when `traced`, an ExecPhase record on the trace timeline.
+ */
+void obsPhase(const PhaseResult &ph, bool traced);
+
+/** obsPhase(ph, false) for each of a handler's phases, in order — the
+ *  kernel's attribution of a cached primitive cost. */
+inline void
+obsPhases(const std::vector<PhaseResult> &phases)
+{
+    if (attributionEnabled())
+        for (const PhaseResult &ph : phases)
+            obsPhase(ph, false);
+}
+
+/**
+ * `n` back-to-back obsPhases(phases) calls, each under a scope named
+ * `scope`, in one closed-form update per node — byte-identical to the
+ * n single calls (same node creation order, entry counts and
+ * histograms). The kernel's batch charger replays a cached
+ * primitive's attribution for a whole run of homogeneous events.
+ */
+void obsPhasesRepeated(const char *scope,
+                       const std::vector<PhaseResult> &phases,
+                       std::uint64_t n);
 
 /** Result of executing a whole handler program. */
 struct ExecResult
@@ -131,7 +142,8 @@ class ExecModel
     ExecResult runPrimitive(Primitive prim);
 
     /** Execute a bare stream (used by share analyses and the IPC layer).
-     *  Continues from `start_cycle` against the current buffer state. */
+     *  Continues from `start_cycle` against the current buffer state.
+     *  Attributes nothing: run() reports each phase via obsPhase(). */
     PhaseResult runStream(const InstrStream &stream,
                           Cycles start_cycle = 0);
 

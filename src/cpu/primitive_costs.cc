@@ -1,18 +1,18 @@
 #include "cpu/primitive_costs.hh"
 
 #include "arch/machines.hh"
+#include "sim/attribution.hh"
 #include "sim/logging.hh"
-#include "sim/profile/profile.hh"
 
 namespace aosd
 {
 
 PrimitiveCostDb::PrimitiveCostDb()
 {
-    // The cache may be built lazily while a profile is being taken;
-    // these warm-up simulations are not the profiled workload's
-    // cycles, so keep them out of the attribution tree.
-    ProfPause pause;
+    // The cache may be built lazily while a profile or a traced
+    // request is open; these warm-up simulations are not the observed
+    // workload's cycles, so keep them out of both trees.
+    ObsPause pause;
     for (const MachineDesc &m : allMachines()) {
         machines.emplace(m.id, m);
         ExecModel exec(m);

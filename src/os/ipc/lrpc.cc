@@ -2,10 +2,8 @@
 
 #include "cpu/primitive_costs.hh"
 #include "mem/cache.hh"
+#include "sim/attribution.hh"
 #include "sim/counters/counters.hh"
-#include "sim/profile/profile.hh"
-#include "sim/spantrace/spantrace.hh"
-#include "sim/trace.hh"
 
 namespace aosd
 {
@@ -24,8 +22,7 @@ simulateTlbMisses(const MachineDesc &desc, const LrpcConfig &cfg,
     // A helper simulation inside an analytic model: its charges must
     // not leak into the caller's attribution tree or nest phantom
     // spans into an open request.
-    ProfPause pause;
-    SpanPause spause;
+    ObsPause pause;
     SimKernel kernel(desc);
     AddressSpace &client = kernel.createSpace("client");
     AddressSpace &server = kernel.createSpace("server");
@@ -93,49 +90,22 @@ LrpcModel::nullCall() const
     countEvent(HwCounter::IpcFastPath);
     countEvent(HwCounter::IpcBytesCopied, 2ull * cfg.argBytes);
 
-    auto cyc = [&](double micros) {
-        return desc.clock.microsToCycles(micros);
-    };
-
-    // Attribute the components to the profiler tree, mirroring the
-    // breakdown Table 4 reports.
-    Profiler &prof = Profiler::instance();
-    if (prof.enabled()) {
-        ProfScope scope("lrpc");
-        prof.addLeafCycles("stubs", cyc(b.stubUs));
-        prof.addLeafCycles("kernel_entry", cyc(b.kernelEntryUs));
-        prof.addLeafCycles("validation", cyc(b.validationUs));
-        prof.addLeafCycles("context_switch", cyc(b.contextSwitchUs));
-        prof.addLeafCycles("tlb_refill", cyc(b.tlbMissUs));
-        prof.addLeafCycles("arg_copy", cyc(b.argCopyUs));
-    }
-
-    // Same components as one span group for an open traced request.
-    if (spantraceEnabled()) {
-        SpanGroup span("lrpc");
-        spanLeaf("stubs", cyc(b.stubUs));
-        spanLeaf("kernel_entry", cyc(b.kernelEntryUs));
-        spanLeaf("validation", cyc(b.validationUs));
-        spanLeaf("context_switch", cyc(b.contextSwitchUs));
-        spanLeaf("tlb_refill", cyc(b.tlbMissUs));
-        spanLeaf("arg_copy", cyc(b.argCopyUs));
-    }
-
-    // Lay the components on the trace timeline in call order.
-    Tracer &tr = Tracer::instance();
-    if (tr.enabled()) {
-        tr.completeHere(cyc(b.stubUs), TraceEvent::RpcPhase,
-                        "lrpc_stubs");
-        tr.completeHere(cyc(b.kernelEntryUs), TraceEvent::RpcPhase,
-                        "lrpc_kernel_entry");
-        tr.completeHere(cyc(b.validationUs), TraceEvent::RpcPhase,
-                        "lrpc_validation");
-        tr.completeHere(cyc(b.contextSwitchUs), TraceEvent::RpcPhase,
-                        "lrpc_context_switch");
-        tr.completeHere(cyc(b.tlbMissUs), TraceEvent::RpcPhase,
-                        "lrpc_tlb_refill", misses);
-        tr.completeHere(cyc(b.argCopyUs), TraceEvent::RpcPhase,
-                        "lrpc_arg_copy");
+    // One component table, in call order, mirroring the breakdown
+    // Table 4 reports: profiler tree, span group and trace timeline.
+    if (attributionEnabled()) {
+        auto cyc = [&](double micros) {
+            return desc.clock.microsToCycles(micros);
+        };
+        const ObsLeaf components[] = {
+            {"stubs", cyc(b.stubUs), "lrpc_stubs"},
+            {"kernel_entry", cyc(b.kernelEntryUs), "lrpc_kernel_entry"},
+            {"validation", cyc(b.validationUs), "lrpc_validation"},
+            {"context_switch", cyc(b.contextSwitchUs),
+             "lrpc_context_switch"},
+            {"tlb_refill", cyc(b.tlbMissUs), "lrpc_tlb_refill", misses},
+            {"arg_copy", cyc(b.argCopyUs), "lrpc_arg_copy"},
+        };
+        obsGroup("lrpc", components, TraceEvent::RpcPhase);
     }
     return b;
 }

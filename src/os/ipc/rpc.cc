@@ -3,9 +3,8 @@
 #include "cpu/primitive_costs.hh"
 #include "mem/cache.hh"
 #include "os/ipc/message.hh"
+#include "sim/attribution.hh"
 #include "sim/counters/counters.hh"
-#include "sim/spantrace/spantrace.hh"
-#include "sim/trace.hh"
 
 namespace aosd
 {
@@ -100,48 +99,27 @@ SrcRpcModel::roundTrip(std::uint32_t arg_bytes,
         2.0 * 2.0 * cfg.link.controllerLatencyUs; // tx+rx, both packets
     b.wireUs = ether.wireTimeUs(call_pkt) + ether.wireTimeUs(reply_pkt);
 
-    // Lay the round trip on the trace timeline in wire order.
-    Tracer &tr = Tracer::instance();
-    if (tr.enabled()) {
+    // One component table, in wire order, for the profiler tree, an
+    // open traced request's span group and the trace timeline.
+    if (attributionEnabled()) {
         auto cyc = [&](double micros) {
             return clk.microsToCycles(micros);
         };
-        tr.completeHere(cyc(b.clientStubUs), TraceEvent::RpcPhase,
-                        "rpc_client_stub", arg_bytes);
-        tr.completeHere(cyc(b.kernelTransferUs), TraceEvent::RpcPhase,
-                        "rpc_kernel_transfer");
-        tr.completeHere(cyc(b.copyUs), TraceEvent::RpcPhase,
-                        "rpc_copy");
-        tr.completeHere(cyc(b.checksumUs), TraceEvent::RpcPhase,
-                        "rpc_checksum");
-        tr.completeHere(cyc(b.controllerUs), TraceEvent::RpcPhase,
-                        "rpc_controller");
-        tr.completeHere(cyc(b.wireUs), TraceEvent::RpcPhase,
-                        "rpc_wire");
-        tr.completeHere(cyc(b.interruptUs), TraceEvent::RpcPhase,
-                        "rpc_interrupts");
-        tr.completeHere(cyc(b.serverStubUs), TraceEvent::RpcPhase,
-                        "rpc_server_stub", result_bytes);
-        tr.completeHere(cyc(b.dispatchUs), TraceEvent::RpcPhase,
-                        "rpc_dispatch");
-    }
-
-    // Same components as one span group for an open traced request,
-    // in wire order.
-    if (spantraceEnabled()) {
-        auto cyc = [&](double micros) {
-            return clk.microsToCycles(micros);
+        const ObsLeaf components[] = {
+            {"client_stub", cyc(b.clientStubUs), "rpc_client_stub",
+             arg_bytes},
+            {"kernel_transfer", cyc(b.kernelTransferUs),
+             "rpc_kernel_transfer"},
+            {"copy", cyc(b.copyUs), "rpc_copy"},
+            {"checksum", cyc(b.checksumUs), "rpc_checksum"},
+            {"controller", cyc(b.controllerUs), "rpc_controller"},
+            {"wire", cyc(b.wireUs), "rpc_wire"},
+            {"interrupts", cyc(b.interruptUs), "rpc_interrupts"},
+            {"server_stub", cyc(b.serverStubUs), "rpc_server_stub",
+             result_bytes},
+            {"dispatch", cyc(b.dispatchUs), "rpc_dispatch"},
         };
-        SpanGroup span("rpc");
-        spanLeaf("client_stub", cyc(b.clientStubUs));
-        spanLeaf("kernel_transfer", cyc(b.kernelTransferUs));
-        spanLeaf("copy", cyc(b.copyUs));
-        spanLeaf("checksum", cyc(b.checksumUs));
-        spanLeaf("controller", cyc(b.controllerUs));
-        spanLeaf("wire", cyc(b.wireUs));
-        spanLeaf("interrupts", cyc(b.interruptUs));
-        spanLeaf("server_stub", cyc(b.serverStubUs));
-        spanLeaf("dispatch", cyc(b.dispatchUs));
+        obsGroup("rpc", components, TraceEvent::RpcPhase);
     }
 
     return b;

@@ -2,9 +2,8 @@
 
 #include "cpu/primitive_costs.hh"
 #include "mem/cache.hh"
+#include "sim/attribution.hh"
 #include "sim/counters/counters.hh"
-#include "sim/profile/profile.hh"
-#include "sim/spantrace/spantrace.hh"
 
 namespace aosd
 {
@@ -45,28 +44,19 @@ UrpcModel::nullCall() const
         us(realloc) / std::max<std::uint32_t>(cfg.callsPerReallocation,
                                               1);
 
-    Profiler &prof = Profiler::instance();
-    if (prof.enabled()) {
+    // One component table for the profiler tree and an open traced
+    // request's span group (no trace records).
+    if (attributionEnabled()) {
         auto cyc = [&](double micros) {
             return desc.clock.microsToCycles(micros);
         };
-        ProfScope scope("urpc");
-        prof.addLeafCycles("locks", cyc(b.lockUs));
-        prof.addLeafCycles("copy", cyc(b.copyUs));
-        prof.addLeafCycles("thread_switch", cyc(b.threadSwitchUs));
-        prof.addLeafCycles("reallocation", cyc(b.reallocationUs));
-    }
-
-    // Same components as one span group for an open traced request.
-    if (spantraceEnabled()) {
-        auto cyc = [&](double micros) {
-            return desc.clock.microsToCycles(micros);
+        const ObsLeaf components[] = {
+            {"locks", cyc(b.lockUs)},
+            {"copy", cyc(b.copyUs)},
+            {"thread_switch", cyc(b.threadSwitchUs)},
+            {"reallocation", cyc(b.reallocationUs)},
         };
-        SpanGroup span("urpc");
-        spanLeaf("locks", cyc(b.lockUs));
-        spanLeaf("copy", cyc(b.copyUs));
-        spanLeaf("thread_switch", cyc(b.threadSwitchUs));
-        spanLeaf("reallocation", cyc(b.reallocationUs));
+        obsGroup("urpc", components, TraceEvent::RpcPhase);
     }
     return b;
 }

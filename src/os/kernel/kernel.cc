@@ -3,12 +3,11 @@
 #include "cpu/decoded_program.hh"
 #include "cpu/exec_model.hh"
 #include "cpu/handlers.hh"
+#include "sim/attribution.hh"
 #include "sim/batch/batch.hh"
 #include "sim/counters/counters.hh"
 #include "sim/logging.hh"
 #include "sim/sampling/sampler.hh"
-#include "sim/spantrace/spantrace.hh"
-#include "sim/trace.hh"
 
 namespace aosd
 {
@@ -98,11 +97,11 @@ SimKernel::chargePrimitive(Primitive p)
         // Reference mode: re-interpret the handler program op by op
         // for every kernel event instead of charging the cached
         // superblock totals. The execution is deterministic (the
-        // buffer resets per run), so the cycles and the profiler's
-        // phase attribution equal the cached path's exactly; its
-        // micro-event counter bumps are already folded into the
-        // cached cost constants, so they must not leak into the
-        // enclosing workload window's counters.
+        // buffer resets per run), so the cycles and the per-phase
+        // attribution ExecModel::run reports equal the cached path's
+        // exactly; its micro-event counter bumps are already folded
+        // into the cached cost constants, so they must not leak into
+        // the enclosing workload window's counters.
         CounterPause pause;
         ExecResult r = refExec.run(cachedHandler(desc, p));
         cycleCount += r.cycles;
@@ -110,21 +109,10 @@ SimKernel::chargePrimitive(Primitive p)
         return;
     }
     // Attribute the cached handler simulation phase by phase, so a
-    // kernel-level profile bottoms out in the same hardware causes
-    // (trap_hardware, write_buffer_stall, ...) the exec model charged.
-    if (profilerEnabled()) {
-        for (const PhaseResult &ph : pc.detail.phases) {
-            ProfScope scope(phaseSlug(ph.kind));
-            profileBreakdown(ph.breakdown);
-        }
-    }
-    // Same per-phase detail for an open request's span tree; the
-    // reference branch above gets equal leaves from ExecModel::run,
-    // so spans are byte-identical in both predecode modes.
-    if (spantraceEnabled()) {
-        for (const PhaseResult &ph : pc.detail.phases)
-            spanLeaf(phaseSlug(ph.kind), ph.cycles);
-    }
+    // kernel-level profile or span tree bottoms out in the same
+    // hardware causes (trap_hardware, write_buffer_stall, ...) the
+    // exec model charged — byte-identical to the reference branch.
+    obsPhases(pc.detail.phases);
     cycleCount += pc.cycles;
     primCycles += pc.cycles;
 }
@@ -136,31 +124,40 @@ SimKernel::batchActive() const
            batchObserversIdle();
 }
 
-void
-SimKernel::chargePrimitiveBatch(const char *scope, Primitive p,
-                                std::uint64_t n)
+template <class Step>
+bool
+SimKernel::steppedRun(std::uint64_t n, bool sample_each, Step step)
 {
-    const PrimitiveCost &pc = *primCost[static_cast<std::size_t>(p)];
-    if (profilerEnabled()) {
-        // Replay the per-event attribution in closed form: the outer
-        // scope and each phase entered n times, every cause leaf
-        // charged its per-event constant × n, and every histogram fed
-        // n copies of the per-event value — the same nodes in the
-        // same creation order as n per-event invocations.
-        Profiler &prof = Profiler::instance();
-        ProfNode *outer = prof.pushRepeated(scope, n);
-        Cycles outer_each = 0;
-        for (const PhaseResult &ph : pc.detail.phases) {
-            ProfNode *pn = prof.pushRepeated(phaseSlug(ph.kind), n);
-            profileBreakdownRepeated(ph.breakdown, n);
-            Cycles each = ph.breakdown.total();
-            prof.popRepeated(pn, each, n);
-            outer_each += each;
-        }
-        prof.popRepeated(outer, outer_each, n);
+    if (n != 0 && batchActive())
+        return false;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        step();
+        if (sample_each)
+            CounterSampler::instance().tick(
+                cycleCount, static_cast<double>(primCycles));
     }
-    cycleCount += pc.cycles * n;
-    primCycles += pc.cycles * n;
+    return true;
+}
+
+void
+SimKernel::chargeRun(std::uint64_t *stat,
+                     std::initializer_list<HwCounter> events,
+                     Cycles each, std::uint64_t n, bool sample_each)
+{
+    const Cycles start = cycleCount;
+    const Cycles prim_start = primCycles;
+    *stat += n;
+    for (HwCounter event : events)
+        countEvent(event, n);
+    cycleCount += each * n;
+    primCycles += each * n;
+    if (sample_each) {
+        CounterSet per;
+        for (HwCounter event : events)
+            per.set(event, 1);
+        CounterSampler::instance().tickRun(start, each, n, per,
+                                           prim_start, each);
+    }
 }
 
 void
@@ -169,33 +166,15 @@ SimKernel::batchScopedPrimitive(const char *scope, Primitive p,
                                 std::uint64_t n, bool sample_each)
 {
     const PrimitiveCost &pc = *primCost[static_cast<std::size_t>(p)];
-    const Cycles start = cycleCount;
-    const Cycles prim_start = primCycles;
-    *stat += n;
-    countEvent(event, n);
-    chargePrimitiveBatch(scope, p, n);
-    if (sample_each) {
-        CounterSet per;
-        per.set(event, 1);
-        CounterSampler::instance().tickRun(start, pc.cycles, n, per,
-                                           prim_start, pc.cycles);
-    }
+    obsPhasesRepeated(scope, pc.detail.phases, n);
+    chargeRun(stat, {event}, pc.cycles, n, sample_each);
 }
 
 void
 SimKernel::syscallBatch(std::uint64_t n, bool sample_each)
 {
-    if (n == 0)
+    if (steppedRun(n, sample_each, [this] { syscall(); }))
         return;
-    if (!batchActive()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            syscall();
-            if (sample_each)
-                CounterSampler::instance().tick(
-                    cycleCount, static_cast<double>(primCycles));
-        }
-        return;
-    }
     batchScopedPrimitive("syscall", Primitive::NullSyscall,
                          statSyscalls, HwCounter::KernelSyscalls, n,
                          sample_each);
@@ -204,17 +183,8 @@ SimKernel::syscallBatch(std::uint64_t n, bool sample_each)
 void
 SimKernel::trapBatch(std::uint64_t n, bool sample_each)
 {
-    if (n == 0)
+    if (steppedRun(n, sample_each, [this] { trap(); }))
         return;
-    if (!batchActive()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            trap();
-            if (sample_each)
-                CounterSampler::instance().tick(
-                    cycleCount, static_cast<double>(primCycles));
-        }
-        return;
-    }
     batchScopedPrimitive("trap", Primitive::Trap, statTraps,
                          HwCounter::KernelTraps, n, sample_each);
 }
@@ -222,17 +192,8 @@ SimKernel::trapBatch(std::uint64_t n, bool sample_each)
 void
 SimKernel::otherExceptionBatch(std::uint64_t n, bool sample_each)
 {
-    if (n == 0)
+    if (steppedRun(n, sample_each, [this] { otherException(); }))
         return;
-    if (!batchActive()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            otherException();
-            if (sample_each)
-                CounterSampler::instance().tick(
-                    cycleCount, static_cast<double>(primCycles));
-        }
-        return;
-    }
     batchScopedPrimitive("exception", Primitive::Trap,
                          statOtherExceptions, HwCounter::KernelTraps,
                          n, sample_each);
@@ -241,17 +202,8 @@ SimKernel::otherExceptionBatch(std::uint64_t n, bool sample_each)
 void
 SimKernel::threadSwitchBatch(std::uint64_t n, bool sample_each)
 {
-    if (n == 0)
+    if (steppedRun(n, sample_each, [this] { threadSwitch(); }))
         return;
-    if (!batchActive()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            threadSwitch();
-            if (sample_each)
-                CounterSampler::instance().tick(
-                    cycleCount, static_cast<double>(primCycles));
-        }
-        return;
-    }
     batchScopedPrimitive("thread_switch", Primitive::ContextSwitch,
                          statThreadSwitches,
                          HwCounter::ThreadSwitches, n, sample_each);
@@ -260,67 +212,23 @@ SimKernel::threadSwitchBatch(std::uint64_t n, bool sample_each)
 void
 SimKernel::emulateTestAndSetBatch(std::uint64_t n, bool sample_each)
 {
-    if (n == 0)
+    if (steppedRun(n, sample_each, [this] { emulateTestAndSet(); }))
         return;
-    if (!batchActive()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            emulateTestAndSet();
-            if (sample_each)
-                CounterSampler::instance().tick(
-                    cycleCount, static_cast<double>(primCycles));
-        }
-        return;
-    }
-    const Cycles start = cycleCount;
-    const Cycles prim_start = primCycles;
-    *statEmulatedInstrs += n;
-    countEvent(HwCounter::EmulatedInstrs, n);
-    countEvent(HwCounter::EmulatedTasOps, n);
-    cycleCount += tasCycles * n;
-    primCycles += tasCycles * n;
-    if (profilerEnabled())
-        Profiler::instance().addLeafCyclesRepeated(
-            "emulated_test_and_set", tasCycles, n);
-    if (sample_each) {
-        CounterSet per;
-        per.set(HwCounter::EmulatedInstrs, 1);
-        per.set(HwCounter::EmulatedTasOps, 1);
-        CounterSampler::instance().tickRun(start, tasCycles, n, per,
-                                           prim_start, tasCycles);
-    }
+    obsLeafRepeated("emulated_test_and_set", tasCycles, n);
+    chargeRun(statEmulatedInstrs,
+              {HwCounter::EmulatedInstrs, HwCounter::EmulatedTasOps},
+              tasCycles, n, sample_each);
 }
 
 void
 SimKernel::emulateSingleInstructionsBatch(std::uint64_t n,
                                           bool sample_each)
 {
-    if (n == 0)
+    if (steppedRun(n, sample_each, [this] { emulateInstructions(1); }))
         return;
-    if (!batchActive()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            emulateInstructions(1);
-            if (sample_each)
-                CounterSampler::instance().tick(
-                    cycleCount, static_cast<double>(primCycles));
-        }
-        return;
-    }
-    const Cycles start = cycleCount;
-    const Cycles prim_start = primCycles;
-    *statEmulatedInstrs += n;
-    countEvent(HwCounter::EmulatedInstrs, n);
-    cycleCount += emulatedInstrCycles * n;
-    primCycles += emulatedInstrCycles * n;
-    if (profilerEnabled())
-        Profiler::instance().addLeafCyclesRepeated(
-            "emulate_instr", emulatedInstrCycles, n);
-    if (sample_each) {
-        CounterSet per;
-        per.set(HwCounter::EmulatedInstrs, 1);
-        CounterSampler::instance().tickRun(start, emulatedInstrCycles,
-                                           n, per, prim_start,
-                                           emulatedInstrCycles);
-    }
+    obsLeafRepeated("emulate_instr", emulatedInstrCycles, n);
+    chargeRun(statEmulatedInstrs, {HwCounter::EmulatedInstrs},
+              emulatedInstrCycles, n, sample_each);
 }
 
 void
@@ -334,10 +242,9 @@ SimKernel::pteChangeBatch(AddressSpace &space,
             pteChange(space, vpn, prot);
         return;
     }
-    const auto n = static_cast<std::uint64_t>(vpns.size());
-    *statPteChanges += n;
-    countEvent(HwCounter::PteChanges, n);
-    chargePrimitiveBatch("pte_change", Primitive::PteChange, n);
+    batchScopedPrimitive("pte_change", Primitive::PteChange,
+                         statPteChanges, HwCounter::PteChanges,
+                         vpns.size(), false);
     // Stepped state edits at the batch boundary: each page's PTE,
     // TLB shootdown and (virtually-indexed) cache flush. These only
     // mutate state and bump their own counters — no cycles, no
@@ -354,39 +261,26 @@ SimKernel::pteChangeBatch(AddressSpace &space,
 void
 SimKernel::syscall()
 {
-    ProfScope prof("syscall");
-    SpanScope span("syscall", cycleCount);
+    ObsScope obs("syscall", cycleCount, TraceEvent::Syscall);
     ++*statSyscalls;
     countEvent(HwCounter::KernelSyscalls);
-    Cycles start = cycleCount;
     chargePrimitive(Primitive::NullSyscall);
-    if (tracerEnabled())
-        Tracer::instance().complete(start, cycleCount - start,
-                                    TraceEvent::Syscall, "syscall");
 }
 
 void
 SimKernel::trap()
 {
-    ProfScope prof("trap");
-    SpanScope span("trap", cycleCount);
+    ObsScope obs("trap", cycleCount, TraceEvent::TrapEnter,
+                 TraceEvent::TrapExit);
     ++*statTraps;
     countEvent(HwCounter::KernelTraps);
-    Cycles start = cycleCount;
-    if (tracerEnabled())
-        Tracer::instance().recordAt(start, TraceEvent::TrapEnter,
-                                    TracePhase::Begin, "trap");
     chargePrimitive(Primitive::Trap);
-    if (tracerEnabled())
-        Tracer::instance().recordAt(cycleCount, TraceEvent::TrapExit,
-                                    TracePhase::End, "trap");
 }
 
 void
 SimKernel::pteChange(AddressSpace &space, Vpn vpn, PageProt prot)
 {
-    ProfScope prof("pte_change");
-    SpanScope span("pte_change", cycleCount);
+    ObsScope obs("pte_change", cycleCount);
     ++*statPteChanges;
     countEvent(HwCounter::PteChanges);
     chargePrimitive(Primitive::PteChange);
@@ -405,18 +299,13 @@ SimKernel::contextSwitchTo(AddressSpace &target)
     AddressSpace &from = currentSpace();
     if (&target == &from)
         return;
-    ProfScope prof("context_switch");
-    SpanScope span("context_switch", cycleCount);
+    ObsScope obs("context_switch", cycleCount,
+                 TraceEvent::ContextSwitch, TraceEvent::ContextSwitch);
     ++*statAddrSpaceSwitches;
     countEvent(HwCounter::ContextSwitches);
     // An address-space switch implies a thread switch (Table 7 note).
     ++*statThreadSwitches;
     countEvent(HwCounter::ThreadSwitches);
-    if (tracerEnabled())
-        Tracer::instance().recordAt(cycleCount,
-                                    TraceEvent::ContextSwitch,
-                                    TracePhase::Begin,
-                                    "context_switch");
     chargePrimitive(Primitive::ContextSwitch);
 
     Cycles purge = tlbModel.switchContext();
@@ -424,9 +313,7 @@ SimKernel::contextSwitchTo(AddressSpace &target)
     primCycles += purge;
     if (purge) {
         countEvent(HwCounter::TlbPurgeCycles, purge);
-        if (profilerEnabled())
-            Profiler::instance().addLeafCycles("tlb_purge", purge);
-        spanLeaf("tlb_purge", purge);
+        obsLeaf("tlb_purge", purge);
     }
 
     bool cache_tagged = !desc.cache.flushOnContextSwitch;
@@ -435,20 +322,13 @@ SimKernel::contextSwitchTo(AddressSpace &target)
     primCycles += flush;
     if (flush) {
         countEvent(HwCounter::CacheFlushCycles, flush);
-        if (profilerEnabled())
-            Profiler::instance().addLeafCycles("cache_flush", flush);
-        spanLeaf("cache_flush", flush);
+        obsLeaf("cache_flush", flush);
     }
 
     for (std::size_t i = 0; i < spaces.size(); ++i) {
         if (spaces[i].get() == &target) {
             currentIdx = i;
             touchWorkingSet();
-            if (tracerEnabled())
-                Tracer::instance().recordAt(cycleCount,
-                                            TraceEvent::ContextSwitch,
-                                            TracePhase::End,
-                                            "context_switch");
             return;
         }
     }
@@ -458,16 +338,10 @@ SimKernel::contextSwitchTo(AddressSpace &target)
 void
 SimKernel::threadSwitch()
 {
-    ProfScope prof("thread_switch");
-    SpanScope span("thread_switch", cycleCount);
+    ObsScope obs("thread_switch", cycleCount, TraceEvent::ThreadSwitch);
     ++*statThreadSwitches;
     countEvent(HwCounter::ThreadSwitches);
-    Cycles start = cycleCount;
     chargePrimitive(Primitive::ContextSwitch);
-    if (tracerEnabled())
-        Tracer::instance().complete(start, cycleCount - start,
-                                    TraceEvent::ThreadSwitch,
-                                    "thread_switch");
 }
 
 void
@@ -488,7 +362,6 @@ SimKernel::emulateInstructions(std::uint64_t n)
         // emulatedInstrCycles by construction, so the charge is
         // identical to the folded fast-path constant below.
         CounterPause cpause;
-        ProfPause ppause;
         c = 0;
         for (std::uint64_t i = 0; i < n; ++i)
             c += refExec.runStream(emulStepSeq).cycles;
@@ -497,9 +370,7 @@ SimKernel::emulateInstructions(std::uint64_t n)
     }
     cycleCount += c;
     primCycles += c;
-    if (profilerEnabled())
-        Profiler::instance().addLeafCycles("emulate_instr", c);
-    spanLeaf("emulate_instr", c);
+    obsLeaf("emulate_instr", c);
 }
 
 void
@@ -514,34 +385,27 @@ SimKernel::emulateTestAndSet()
     // atomic instruction would be. With predecode on, the sequence's
     // cycle total was computed once at construction; the interpreter
     // fallback re-runs the fast-trap stream per event, with its
-    // micro-events and attribution suppressed (they are already
-    // folded into the constant and the leaf below).
+    // micro-events suppressed (they are already folded into the
+    // constant; the leaf below is its attribution).
     Cycles c;
     if (!predecodeEnabled() && !tracerEnabled()) {
         CounterPause cpause;
-        ProfPause ppause;
         c = refExec.runStream(tasSeq).cycles;
     } else {
         c = tasCycles;
     }
     cycleCount += c;
     primCycles += c;
-    if (profilerEnabled())
-        Profiler::instance().addLeafCycles("emulated_test_and_set", c);
-    spanLeaf("emulated_test_and_set", c);
+    obsLeaf("emulated_test_and_set", c);
 }
 
 void
 SimKernel::otherException()
 {
-    ProfScope prof("exception");
-    SpanScope span("exception", cycleCount);
+    ObsScope obs("exception", cycleCount, TraceEvent::TrapEnter);
     ++*statOtherExceptions;
     countEvent(HwCounter::KernelTraps);
-    Cycles start = cycleCount;
     chargePrimitive(Primitive::Trap);
-    Tracer::instance().complete(start, cycleCount - start,
-                                TraceEvent::TrapEnter, "exception");
 }
 
 Cycles
@@ -549,11 +413,10 @@ SimKernel::interpRefillCost(bool kernel_space)
 {
     // Reference mode on a software-managed TLB: the refill really
     // is a kernel handler (s5), so run it through the interpreter
-    // like every other handler. Its micro-event bumps and profile
-    // breakdown are already folded into the modeled constant, so
-    // they must not leak into the workload window.
+    // like every other handler. Its micro-event bumps are already
+    // folded into the modeled constant, so they must not leak into
+    // the workload window (runStream attributes nothing).
     CounterPause cpause;
-    ProfPause ppause;
     return refExec
         .runStream(kernel_space ? swRefillKernelSeq : swRefillUserSeq)
         .cycles;
@@ -658,8 +521,8 @@ SimKernel::runUserCode(std::uint64_t instructions)
                  (desc.clock.mhz() / 11.1);
     auto c = static_cast<Cycles>(instructions * cpi + 0.5);
     cycleCount += c;
-    if (profilerEnabled())
-        Profiler::instance().addLeafCycles("user_code", c);
+    // A profiler leaf only: a span request's tree holds kernel work.
+    obsLeafRepeated("user_code", c, 1);
 }
 
 double

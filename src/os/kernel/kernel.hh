@@ -15,6 +15,7 @@
 #define AOSD_OS_KERNEL_KERNEL_HH
 
 #include <array>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -192,14 +193,22 @@ class SimKernel
 
   private:
     void chargePrimitive(Primitive p);
-    /** Closed-form chargePrimitive × n under an outer profiler scope
-     *  entered n times (the batch fast path; caller checked
-     *  batchActive()). */
-    void chargePrimitiveBatch(const char *scope, Primitive p,
-                              std::uint64_t n);
-    /** Shared body of the scoped batch ops (syscall/trap/exception/
-     *  thread switch): stat + counter + charge + optional per-event
-     *  sampler boundaries. */
+    /** The per-event fallback of the *Batch ops: unless batching
+     *  applies (n > 0 and batchActive()), run `step` n times, ticking
+     *  the sampler after each when `sample_each`, and return true.
+     *  False means the caller charges the run in closed form. */
+    template <class Step>
+    bool steppedRun(std::uint64_t n, bool sample_each, Step step);
+    /** The closed-form charge every batch op ends in: n events of
+     *  `each` cycles, each bumping `stat` and every counter in
+     *  `events` once, plus the sampler boundaries the per-event loop
+     *  would have crossed when `sample_each`. */
+    void chargeRun(std::uint64_t *stat,
+                   std::initializer_list<HwCounter> events, Cycles each,
+                   std::uint64_t n, bool sample_each);
+    /** Closed-form run of n scoped primitives (syscall, trap,
+     *  exception, thread switch, pte change): the cached phases'
+     *  attribution under a scope entered n times, then chargeRun. */
     void batchScopedPrimitive(const char *scope, Primitive p,
                               std::uint64_t *stat, HwCounter event,
                               std::uint64_t n, bool sample_each);

@@ -17,7 +17,7 @@
  * the paper's own arithmetic for Tables 1/2/5.
  *
  * Counting is off by default; a disabled bump is one non-atomic load
- * and a predictable branch (the profdetail::on pattern), and
+ * and a predictable branch (the profilerEnabled() pattern), and
  * -DAOSD_DISABLE_OBSERVERS=ON folds it away (sim/observers.hh).
  *
  * Counter state is per thread: each simulation slice (see

@@ -3,11 +3,6 @@
 namespace aosd
 {
 
-namespace profdetail
-{
-thread_local constinit bool on = false;
-} // namespace profdetail
-
 ProfNode *
 ProfNode::child(const char *child_name)
 {
@@ -81,7 +76,7 @@ void
 Profiler::enable()
 {
     clear();
-    profdetail::on = true;
+    obsdetail::set(obsdetail::profiler, true);
 }
 
 void
@@ -94,18 +89,6 @@ Profiler::clear()
     cur = &rootNode;
     attributed = 0;
     ++generation;
-}
-
-void
-Profiler::addLeafCycles(const char *leaf, Cycles c)
-{
-    if (!profilerEnabled())
-        return;
-    ProfNode *node = cur->child(leaf);
-    node->selfCycles += c;
-    node->entries += 1;
-    node->spans.sample(c);
-    attributed += c;
 }
 
 void
@@ -202,21 +185,13 @@ Profiler::collapsedStacks(const std::string &prefix) const
     return out;
 }
 
-ProfNode *
-Profiler::push(const char *name)
-{
-    cur = cur->child(name);
-    cur->entries += 1;
-    return cur;
-}
-
 void
 ProfScope::enter(const char *name)
 {
     Profiler &p = Profiler::instance();
     entryAttributed = p.attributedCycles();
     entryGeneration = p.generation;
-    node = p.push(name);
+    node = p.pushRepeated(name, 1);
 }
 
 void

@@ -40,21 +40,13 @@
 namespace aosd
 {
 
-namespace profdetail
-{
-/** The profiler's on/off flag. A namespace-scope bool (not a member
- *  behind Profiler::instance()) so the disabled fast path in the
- *  simulator's hot loops is one non-atomic load and a branch — no
- *  function-local-static guard — and thread-local so each simulation
- *  slice profiles independently. */
-extern thread_local constinit bool on;
-} // namespace profdetail
-
-/** Cheapest possible "is profiling on?" check for hot paths. */
+/** Cheapest possible "is profiling on?" check for hot paths: one
+ *  non-atomic load of the thread-local flag byte (sim/observers.hh)
+ *  and a branch, so each simulation slice profiles independently. */
 inline bool
 profilerEnabled()
 {
-    return observersCompiledIn && profdetail::on;
+    return observersCompiledIn && (obsdetail::on & obsdetail::profiler);
 }
 
 /** One node of the attribution tree. */
@@ -111,10 +103,7 @@ class Profiler
     void enable();
 
     /** Stop attributing; the tree remains readable. */
-    void disable() { profdetail::on = false; }
-
-    /** Continue attributing into the existing tree (after disable()). */
-    void resume() { profdetail::on = true; }
+    void disable() { obsdetail::set(obsdetail::profiler, false); }
 
     bool enabled() const { return profilerEnabled(); }
 
@@ -135,7 +124,11 @@ class Profiler
     /** Attribute cycles to a named leaf child of the current scope,
      *  creating it on first use. Counts one attribution event and
      *  samples the leaf's histogram with `c`. */
-    void addLeafCycles(const char *leaf, Cycles c);
+    void
+    addLeafCycles(const char *leaf, Cycles c)
+    {
+        addLeafCyclesRepeated(leaf, c, 1);
+    }
 
     /** Batched addLeafCycles: `k` attribution events of `each` cycles
      *  to a named leaf child of the current scope, in one closed-form
@@ -182,7 +175,6 @@ class Profiler
 
     Profiler() { rootNode.name = "root"; }
 
-    ProfNode *push(const char *name);
     void pop(ProfNode *node, Cycles entry_attributed,
              std::uint64_t entry_generation);
 
@@ -217,6 +209,11 @@ class ProfScope
     ProfScope &operator=(const ProfScope &) = delete;
 
   private:
+    // The attribution hook (sim/attribution.hh) holds a closed scope
+    // and opens it only when the profiler is on.
+    friend class ObsScope;
+    ProfScope() = default;
+
     // Out of line, so a disabled scope inlines to a flag test.
     void enter(const char *name);
     void leave();
@@ -224,32 +221,6 @@ class ProfScope
     ProfNode *node = nullptr;
     Cycles entryAttributed = 0;
     std::uint64_t entryGeneration = 0;
-};
-
-/**
- * RAII attribution pause: helper simulations inside analytic models
- * (e.g. the LRPC steady-state TLB warm-up) run under one of these so
- * their charges don't pollute the caller's attribution tree.
- */
-class ProfPause
-{
-  public:
-    ProfPause() : wasOn(Profiler::instance().enabled())
-    {
-        Profiler::instance().disable();
-    }
-
-    ~ProfPause()
-    {
-        if (wasOn)
-            Profiler::instance().resume();
-    }
-
-    ProfPause(const ProfPause &) = delete;
-    ProfPause &operator=(const ProfPause &) = delete;
-
-  private:
-    bool wasOn;
 };
 
 } // namespace aosd

@@ -15,9 +15,9 @@
  * mechanisms.
  *
  * Sampling is off by default; a disabled tick is one thread-local load
- * and a predictable branch (the ctrdetail::on / profdetail::on /
- * trcdetail::on pattern), and -DAOSD_DISABLE_OBSERVERS=ON folds it
- * away (sim/observers.hh).
+ * and a predictable branch (the countersEnabled() / profilerEnabled()
+ * pattern), and -DAOSD_DISABLE_OBSERVERS=ON folds it away
+ * (sim/observers.hh).
  *
  * Sampler state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) samples its own cell, drivers open

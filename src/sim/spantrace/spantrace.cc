@@ -3,11 +3,6 @@
 namespace aosd
 {
 
-namespace spdetail
-{
-thread_local constinit bool on = false;
-} // namespace spdetail
-
 Json
 SpanNode::toJson() const
 {
@@ -74,7 +69,7 @@ SpanTracer::enable(std::size_t capacity)
     capacity_ = capacity;
     armed_ = true;
     ++gen_;
-    spdetail::on = false;
+    obsdetail::set(obsdetail::spans, false);
 }
 
 void
@@ -83,7 +78,7 @@ SpanTracer::disable()
     armed_ = false;
     stack_.clear();
     ++gen_;
-    spdetail::on = false;
+    obsdetail::set(obsdetail::spans, false);
 }
 
 void
@@ -101,7 +96,7 @@ SpanTracer::beginRequest(const char *name, std::uint64_t id,
     stack_.push_back(
         {&requestRoot_, now, HwCounters::instance().snapshot(), false});
     ++gen_;
-    spdetail::on = true;
+    obsdetail::set(obsdetail::spans, true);
 }
 
 void
@@ -110,12 +105,12 @@ SpanTracer::endRequest(Cycles now)
     if (!spantraceEnabled())
         return;
     if (stack_.empty()) {
-        spdetail::on = false;
+        obsdetail::set(obsdetail::spans, false);
         return;
     }
     while (!stack_.empty())
         closeTop(now);
-    spdetail::on = false;
+    obsdetail::set(obsdetail::spans, false);
     ++gen_;
 
     Histogram *hist = nullptr;
@@ -154,7 +149,7 @@ SpanTracer::closeTop(Cycles now)
 }
 
 SpanNode *
-SpanTracer::push(const char *name, Cycles now)
+SpanTracer::push(const char *name, Cycles now, bool group)
 {
     if (!spantraceEnabled())
         return nullptr;
@@ -163,7 +158,7 @@ SpanTracer::push(const char *name, Cycles now)
     SpanNode *node = &parent->children.back();
     node->name = name;
     stack_.push_back(
-        {node, now, HwCounters::instance().snapshot(), false});
+        {node, now, HwCounters::instance().snapshot(), group});
     return node;
 }
 
@@ -180,33 +175,6 @@ SpanTracer::pop(SpanNode *node, Cycles now, std::uint64_t gen)
     }
 }
 
-SpanNode *
-SpanTracer::pushGroup(const char *name)
-{
-    if (!spantraceEnabled())
-        return nullptr;
-    SpanNode *parent = stack_.back().node;
-    parent->children.emplace_back();
-    SpanNode *node = &parent->children.back();
-    node->name = name;
-    stack_.push_back(
-        {node, 0, HwCounters::instance().snapshot(), true});
-    return node;
-}
-
-void
-SpanTracer::popGroup(SpanNode *node, std::uint64_t gen)
-{
-    if (gen != gen_ || !spantraceEnabled())
-        return;
-    while (stack_.size() > 1) {
-        SpanNode *top = stack_.back().node;
-        closeTop(0);
-        if (top == node)
-            return;
-    }
-}
-
 void
 SpanTracer::leaf(const char *name, Cycles cycles)
 {
@@ -217,35 +185,6 @@ SpanTracer::leaf(const char *name, Cycles cycles)
     SpanNode &node = parent->children.back();
     node.name = name;
     node.cycles = cycles;
-}
-
-void
-SpanScope::enter(const char *name, const Cycles &clock)
-{
-    SpanTracer &t = SpanTracer::instance();
-    clock_ = &clock;
-    gen_ = t.generation();
-    node_ = t.push(name, clock);
-}
-
-void
-SpanScope::leave()
-{
-    SpanTracer::instance().pop(node_, *clock_, gen_);
-}
-
-void
-SpanGroup::enter(const char *name)
-{
-    SpanTracer &t = SpanTracer::instance();
-    gen_ = t.generation();
-    node_ = t.pushGroup(name);
-}
-
-void
-SpanGroup::leave()
-{
-    SpanTracer::instance().popGroup(node_, gen_);
 }
 
 SpanSession

@@ -15,10 +15,10 @@
  * attribution priced with the reconcile layer's constants.
  *
  * Tracing is off by default; a disabled hook costs one non-atomic
- * thread-local load and a branch (the profdetail::on pattern —
- * spdetail::on is true only while a request is open inside an armed
- * session, so idle hooks never take the slow path), and
- * -DAOSD_DISABLE_OBSERVERS=ON folds it away (sim/observers.hh).
+ * thread-local load and a branch (the flag is set only while a
+ * request is open inside an armed session, so idle hooks never take
+ * the slow path), and -DAOSD_DISABLE_OBSERVERS=ON folds it away
+ * (sim/observers.hh).
  *
  * Tracer state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) traces into its own session, and
@@ -43,22 +43,15 @@
 namespace aosd
 {
 
-namespace spdetail
-{
-/** The tracer's in-request flag. Namespace-scope and thread-local for
- *  the same reason as profdetail::on: the disabled fast path in the
- *  simulator's hot loops is one non-atomic load and a branch. True
- *  only between beginRequest() and endRequest() of an armed session,
- *  so hooks outside any request cost the same as a disabled build. */
-extern thread_local constinit bool on;
-} // namespace spdetail
-
 /** Cheapest possible "is a traced request open?" check for hot
- *  paths. */
+ *  paths: one load of the thread-local flag byte (sim/observers.hh)
+ *  and a branch. The spans bit is set only between beginRequest() and
+ *  endRequest() of an armed session, so hooks outside any request
+ *  cost the same as a disabled build. */
 inline bool
 spantraceEnabled()
 {
-    return observersCompiledIn && spdetail::on;
+    return observersCompiledIn && (obsdetail::on & obsdetail::spans);
 }
 
 /** One span of a request's tree. Unlike ProfNode, children are not
@@ -113,8 +106,9 @@ struct SpanSession
 /**
  * The calling thread's span tracer (per-thread, one per simulation
  * slice). enable(capacity) arms it; beginRequest()/endRequest()
- * bracket one primitive invocation; SpanScope/SpanGroup/spanLeaf()
- * nest phases inside the open request.
+ * bracket one primitive invocation; the attribution hook
+ * (sim/attribution.hh) and spanLeaf() nest phases inside the open
+ * request.
  */
 class SpanTracer
 {
@@ -142,22 +136,16 @@ class SpanTracer
      *  under capacity. */
     void endRequest(Cycles now);
 
-    /** Open a child span at `now`. Returns the node (null when no
-     *  request is open). */
-    SpanNode *push(const char *name, Cycles now);
+    /** Open a child span at `now`. A `group` span's duration is the
+     *  sum of its children instead (for analytic models that add
+     *  component costs rather than advance a clock). Returns the node
+     *  (null when no request is open). */
+    SpanNode *push(const char *name, Cycles now, bool group = false);
 
     /** Close span `node` at `now` (closing any of its still-open
      *  children first). Ignored when `gen` is stale — the request
      *  that owned the node has already ended. */
     void pop(SpanNode *node, Cycles now, std::uint64_t gen);
-
-    /** Open a child span whose duration will be the sum of its
-     *  children (for analytic models that add component costs rather
-     *  than advance a clock). */
-    SpanNode *pushGroup(const char *name);
-
-    /** Close the innermost group span. */
-    void popGroup(SpanNode *node, std::uint64_t gen);
 
     /** Append a closed leaf span of `cycles` under the current
      *  span. */
@@ -188,89 +176,6 @@ class SpanTracer
     SpanNode requestRoot_;
     std::vector<Open> stack_; ///< open spans, outermost first
     SpanSession session_;
-};
-
-/**
- * RAII phase span: opens a named child span for its lifetime, reading
- * the referenced simulated-cycle clock at entry and exit. `name` must
- * outlive the scope (string literals in practice); `clock` is the
- * owning component's cycle counter (e.g. SimKernel's).
- */
-class SpanScope
-{
-  public:
-    SpanScope(const char *name, const Cycles &clock)
-    {
-        if (spantraceEnabled())
-            enter(name, clock);
-    }
-
-    ~SpanScope()
-    {
-        if (observersCompiledIn && node_)
-            leave();
-    }
-
-    SpanScope(const SpanScope &) = delete;
-    SpanScope &operator=(const SpanScope &) = delete;
-
-  private:
-    // Out of line, so a disabled scope inlines to a flag test.
-    void enter(const char *name, const Cycles &clock);
-    void leave();
-
-    SpanNode *node_ = nullptr;
-    const Cycles *clock_ = nullptr;
-    std::uint64_t gen_ = 0;
-};
-
-/**
- * RAII group span: duration is the sum of the child spans recorded
- * inside it. Used by the analytic IPC models (rpc/lrpc/urpc), which
- * sum component costs instead of advancing a kernel clock.
- */
-class SpanGroup
-{
-  public:
-    explicit SpanGroup(const char *name)
-    {
-        if (spantraceEnabled())
-            enter(name);
-    }
-
-    ~SpanGroup()
-    {
-        if (observersCompiledIn && node_)
-            leave();
-    }
-
-    SpanGroup(const SpanGroup &) = delete;
-    SpanGroup &operator=(const SpanGroup &) = delete;
-
-  private:
-    void enter(const char *name);
-    void leave();
-
-    SpanNode *node_ = nullptr;
-    std::uint64_t gen_ = 0;
-};
-
-/**
- * RAII tracing pause: helper simulations inside analytic models (the
- * LRPC steady-state TLB warm-up) run under one of these so their
- * kernel hooks don't nest phantom spans into the caller's open
- * request (the ProfPause analog).
- */
-class SpanPause
-{
-  public:
-    SpanPause() : was_(spdetail::on) { spdetail::on = false; }
-    ~SpanPause() { spdetail::on = was_; }
-    SpanPause(const SpanPause &) = delete;
-    SpanPause &operator=(const SpanPause &) = delete;
-
-  private:
-    bool was_;
 };
 
 /** Record a closed leaf span of `cycles` under the current span. */

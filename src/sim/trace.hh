@@ -11,9 +11,10 @@
  * the simulation).
  *
  * Tracing is off by default; when disabled every record call is a
- * single predictable branch (trcdetail::on, the ctrdetail::on /
- * profdetail::on pattern). The buffer exports to the chrome://tracing
- * / Perfetto JSON format, with cycles as the time unit.
+ * single predictable branch (tracerEnabled(), one bit of the
+ * observers' flag byte in sim/observers.hh). The buffer exports to
+ * the chrome://tracing / Perfetto JSON format, with cycles as the
+ * time unit.
  *
  * Tracer state is per thread: every simulation slice (see
  * sim/parallel/parallel_runner.hh) owns its own ring and clock, so
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "sim/json.hh"
+#include "sim/observers.hh"
 #include "sim/ticks.hh"
 
 namespace aosd
@@ -68,23 +70,15 @@ int traceEventLane(TraceEvent e);
  *  metadata so the UI labels the track. */
 const char *traceLaneName(int lane);
 
-namespace trcdetail
-{
-/** The tracer's on/off flag. Namespace-scope and thread-local (not a
- *  member behind Tracer::instance()) so the disabled fast path in the
- *  execution model's per-op loop is one predictable branch with no
- *  function-local-static guard, and so each simulation slice traces
- *  independently. */
-extern thread_local constinit bool on;
-} // namespace trcdetail
-
 /** Cheapest possible "is tracing on?" check for hot paths. Guards the
- *  Tracer::instance() call itself, so a disabled tracer costs one
- *  thread-local load and a branch. */
+ *  Tracer::instance() call itself, so a disabled tracer costs one load
+ *  of the thread-local flag byte (sim/observers.hh) and a branch, with
+ *  no function-local-static guard; each simulation slice traces
+ *  independently. */
 inline bool
 tracerEnabled()
 {
-    return trcdetail::on;
+    return obsdetail::on & obsdetail::tracer;
 }
 
 /** Chrome trace phase: B(egin), E(nd), X (complete), i (instant),
@@ -126,9 +120,9 @@ class Tracer
     void enable(std::size_t capacity = 1 << 16);
 
     /** Stop tracing; the buffer remains readable until enable(). */
-    void disable() { trcdetail::on = false; }
+    void disable() { obsdetail::set(obsdetail::tracer, false); }
 
-    bool enabled() const { return trcdetail::on; }
+    bool enabled() const { return tracerEnabled(); }
 
     /** Advance the trace clock; records without an explicit cycle are
      *  stamped with the latest value. Never moves backwards. */
@@ -146,7 +140,7 @@ class Tracer
     record(TraceEvent e, TracePhase ph, const char *name,
            std::uint64_t arg = 0, Cycles duration = 0)
     {
-        if (!trcdetail::on)
+        if (!tracerEnabled())
             return;
         push({now, duration, arg, name, e, ph});
     }
@@ -160,7 +154,7 @@ class Tracer
              const char *name, std::uint64_t arg = 0,
              Cycles duration = 0)
     {
-        if (!trcdetail::on)
+        if (!tracerEnabled())
             return;
         setCycle(cycle);
         push({now, duration, arg, name, e, ph});
@@ -187,7 +181,7 @@ class Tracer
     complete(Cycles start, Cycles duration, TraceEvent e,
              const char *name, std::uint64_t arg = 0)
     {
-        if (!trcdetail::on)
+        if (!tracerEnabled())
             return;
         recordAt(start, e, TracePhase::Complete, name, arg, duration);
         setCycle(now + duration);
@@ -246,32 +240,6 @@ class Tracer
     std::size_t count = 0;  ///< live records
     std::uint64_t droppedCount = 0;
     std::vector<TraceRecord> ring;
-};
-
-/** RAII scope that emits Begin on entry and End on exit at the
- *  tracer's current clock. */
-class TraceScope
-{
-  public:
-    TraceScope(TraceEvent e, const char *scope_name)
-        : event(e), name(scope_name)
-    {
-        if (tracerEnabled())
-            Tracer::instance().record(event, TracePhase::Begin, name);
-    }
-
-    ~TraceScope()
-    {
-        if (tracerEnabled())
-            Tracer::instance().record(event, TracePhase::End, name);
-    }
-
-    TraceScope(const TraceScope &) = delete;
-    TraceScope &operator=(const TraceScope &) = delete;
-
-  private:
-    TraceEvent event;
-    const char *name;
 };
 
 } // namespace aosd

@@ -15,6 +15,7 @@
 #include "arch/machines.hh"
 #include "cpu/profiled_primitives.hh"
 #include "os/kernel/kernel.hh"
+#include "sim/attribution.hh"
 #include "sim/profile/histogram.hh"
 #include "sim/profile/profile.hh"
 
@@ -255,7 +256,7 @@ TEST_F(ProfilerTest, PauseStopsAttribution)
     p.enable();
     p.addCycles(5);
     {
-        ProfPause pause;
+        ObsPause pause;
         p.addCycles(100); // helper-simulation noise
         EXPECT_FALSE(p.enabled());
     }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "arch/machines.hh"
+#include "sim/attribution.hh"
 #include "sim/counters/counters.hh"
 #include "sim/parallel/parallel_runner.hh"
 #include "sim/perfdb/perfdb.hh"
@@ -53,7 +54,7 @@ TEST_F(SpantraceTest, OffByDefaultAndOutsideRequests)
     EXPECT_FALSE(spantraceEnabled());
     spanLeaf("noise", 42);
     Cycles clock = 0;
-    { SpanScope s("noise", clock); }
+    { ObsScope s("noise", clock); }
     SpanSession session = SpanTracer::instance().take();
     EXPECT_TRUE(session.hists.empty());
     EXPECT_TRUE(session.requests.empty());
@@ -76,7 +77,7 @@ TEST_F(SpantraceTest, BuildsTheLiteralInvocationTree)
     EXPECT_TRUE(spantraceEnabled());
     {
         Cycles clock = 100;
-        SpanScope outer("outer", clock);
+        ObsScope outer("outer", clock);
         spanLeaf("leaf_a", 10);
         spanLeaf("leaf_a", 5); // same name appends, never merges
         clock = 160;
@@ -111,11 +112,8 @@ TEST_F(SpantraceTest, GroupSpanSumsItsChildren)
     SpanTracer &t = SpanTracer::instance();
     t.enable(1);
     t.beginRequest("req", 0, 0);
-    {
-        SpanGroup g("model");
-        spanLeaf("a", 30);
-        spanLeaf("b", 12);
-    }
+    const ObsLeaf leaves[] = {{"a", 30}, {"b", 12}};
+    obsGroup("model", leaves, TraceEvent::RpcPhase);
     t.endRequest(100);
 
     SpanSession session = t.take();
@@ -211,7 +209,7 @@ TEST_F(SpantraceTest, PauseSuppressesNestedHooks)
     t.beginRequest("req", 0, 0);
     spanLeaf("kept", 1);
     {
-        SpanPause pause;
+        ObsPause pause;
         EXPECT_FALSE(spantraceEnabled());
         spanLeaf("suppressed", 99);
     }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the observability layer: JSON round-trips of the
- * StatRegistry, trace ring-buffer overflow behaviour, and event
- * ordering under a simulated context switch.
+ * StatRegistry, trace ring-buffer overflow behaviour, event ordering
+ * under a simulated context switch, and the RPC/LRPC component and
+ * handler-phase records on the trace timeline.
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +17,13 @@
 #include <random>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "arch/machines.hh"
+#include "cpu/exec_model.hh"
+#include "os/ipc/lrpc.hh"
+#include "os/ipc/rpc.hh"
+#include "os/ipc/urpc.hh"
 #include "os/kernel/kernel.hh"
 #include "sim/json.hh"
 #include "sim/stats.hh"
@@ -422,4 +428,102 @@ TEST_F(TraceOrderTest, SyscallEmitsCompleteEventWithCost)
     EXPECT_EQ(r.event, TraceEvent::Syscall);
     EXPECT_EQ(r.phase, TracePhase::Complete);
     EXPECT_EQ(r.duration, cost);
+}
+
+namespace
+{
+
+/** The Complete records of one event class, oldest first. */
+std::vector<TraceRecord>
+recordsOf(TraceEvent event)
+{
+    std::vector<TraceRecord> out;
+    for (const TraceRecord &r : Tracer::instance().snapshot())
+        if (r.event == event && r.phase == TracePhase::Complete)
+            out.push_back(r);
+    return out;
+}
+
+struct ExpectedPhase
+{
+    const char *name;
+    double us;
+    std::uint64_t arg = 0;
+};
+
+/** `records` are `want`, in order, each lasting its component's
+ *  cycles and carrying its arg. */
+void
+expectPhases(const std::vector<TraceRecord> &records,
+             const std::vector<ExpectedPhase> &want, const Clock &clock)
+{
+    ASSERT_EQ(records.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_STREQ(records[i].name, want[i].name);
+        EXPECT_EQ(records[i].duration, clock.microsToCycles(want[i].us))
+            << want[i].name;
+        EXPECT_EQ(records[i].arg, want[i].arg) << want[i].name;
+        if (i > 0) {
+            EXPECT_EQ(records[i].cycle,
+                      records[i - 1].cycle + records[i - 1].duration)
+                << want[i].name;
+        }
+    }
+}
+
+} // namespace
+
+TEST_F(TraceOrderTest, IpcAndHandlerPhasesEmitOneRecordPerComponent)
+{
+    // CVAX: an untagged TLB, so the LRPC round trip refills.
+    const MachineDesc m = makeMachine(MachineId::CVAX);
+    Tracer &tr = Tracer::instance();
+    tr.enable(1 << 16);
+
+    LrpcModel lrpc(m);
+    const std::uint64_t misses = lrpc.steadyStateTlbMisses();
+    ASSERT_GT(misses, 0u);
+    tr.clear();
+    LrpcBreakdown lb = lrpc.nullCall();
+    expectPhases(recordsOf(TraceEvent::RpcPhase),
+                 {{"lrpc_stubs", lb.stubUs},
+                  {"lrpc_kernel_entry", lb.kernelEntryUs},
+                  {"lrpc_validation", lb.validationUs},
+                  {"lrpc_context_switch", lb.contextSwitchUs},
+                  {"lrpc_tlb_refill", lb.tlbMissUs, misses},
+                  {"lrpc_arg_copy", lb.argCopyUs}},
+                 m.clock);
+
+    tr.clear();
+    RpcBreakdown rb = SrcRpcModel(m).roundTrip(74, 1500);
+    expectPhases(recordsOf(TraceEvent::RpcPhase),
+                 {{"rpc_client_stub", rb.clientStubUs, 74},
+                  {"rpc_kernel_transfer", rb.kernelTransferUs},
+                  {"rpc_copy", rb.copyUs},
+                  {"rpc_checksum", rb.checksumUs},
+                  {"rpc_controller", rb.controllerUs},
+                  {"rpc_wire", rb.wireUs},
+                  {"rpc_interrupts", rb.interruptUs},
+                  {"rpc_server_stub", rb.serverStubUs, 1500},
+                  {"rpc_dispatch", rb.dispatchUs}},
+                 m.clock);
+
+    // URPC lays nothing on the timeline.
+    tr.clear();
+    UrpcModel(m).nullCall();
+    EXPECT_TRUE(recordsOf(TraceEvent::RpcPhase).empty());
+
+    // The tracer selects the interpreter, which reports every handler
+    // phase as one ExecPhase record: its name, cycles, instructions.
+    tr.clear();
+    ExecModel exec(m);
+    ExecResult r = exec.runPrimitive(Primitive::NullSyscall);
+    std::vector<TraceRecord> phases = recordsOf(TraceEvent::ExecPhase);
+    ASSERT_EQ(phases.size(), r.phases.size());
+    ASSERT_GT(phases.size(), 1u);
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+        EXPECT_STREQ(phases[i].name, phaseName(r.phases[i].kind));
+        EXPECT_EQ(phases[i].duration, r.phases[i].cycles);
+        EXPECT_EQ(phases[i].arg, r.phases[i].instructions);
+    }
 }
