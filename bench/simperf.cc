@@ -93,14 +93,12 @@ BM_HandlerExecutionCounted(benchmark::State &state)
     MachineDesc m = makeMachine(MachineId::R3000);
     HandlerProgram prog = buildHandler(m, Primitive::Trap);
     ExecModel exec(m);
-    HwCounters::instance().enable();
+    CounterWindow window;
     for (auto _ : state) {
         ExecResult r = exec.run(prog);
         benchmark::DoNotOptimize(r.cycles);
         exec.reset();
     }
-    HwCounters::instance().disable();
-    HwCounters::instance().reset();
 }
 BENCHMARK(BM_HandlerExecutionCounted);
 
@@ -139,7 +137,7 @@ BM_PrimitiveSpanTraced(benchmark::State &state)
     SimKernel kernel(m);
     AddressSpace &app = kernel.createSpace("app");
     kernel.contextSwitchTo(app);
-    HwCounters::instance().enable();
+    CounterWindow window;
     // Small capacity: steady state exercises the drop path too, so
     // memory stays bounded however long the benchmark runs.
     SpanTracer::instance().enable(64);
@@ -151,8 +149,6 @@ BM_PrimitiveSpanTraced(benchmark::State &state)
         SpanTracer::instance().endRequest(kernel.elapsedCycles());
     }
     SpanTracer::instance().take();
-    HwCounters::instance().disable();
-    HwCounters::instance().reset();
 }
 BENCHMARK(BM_PrimitiveSpanTraced);
 
@@ -250,7 +246,7 @@ kernelWindowChargingBody(benchmark::State &state, bool batched)
     SimKernel kernel(m);
     AddressSpace &space = kernel.createSpace("mix");
     space.mapRange(0x1000, 64, 0x50000, {});
-    HwCounters::instance().enable();
+    CounterWindow window;
     Profiler::instance().enable();
     const bool batch_was = batchEnabled();
     setBatchEnabled(batched);
@@ -262,8 +258,6 @@ kernelWindowChargingBody(benchmark::State &state, bool batched)
     setBatchEnabled(batch_was);
     Profiler::instance().disable();
     Profiler::instance().clear();
-    HwCounters::instance().disable();
-    HwCounters::instance().reset();
     state.counters["events_per_sec"] = benchmark::Counter(
         static_cast<double>(events), benchmark::Counter::kIsRate);
 }

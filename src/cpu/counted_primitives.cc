@@ -37,17 +37,12 @@ countPrimitive(const MachineDesc &machine, Primitive prim,
     cachedHandler(machine, prim);
     ExecModel exec(machine);
 
-    HwCounters &ctrs = HwCounters::instance();
-    bool was_on = ctrs.enabled();
-    ctrs.enable(); // resets
-    CounterSet start = ctrs.snapshot();
-    for (unsigned i = 0; i < reps; ++i)
-        run.totalCycles += exec.runPrimitive(prim).cycles;
-    run.counters = ctrs.snapshot().delta(start);
-    ctrs.disable();
-    ctrs.reset();
-    if (was_on)
-        ctrs.resume();
+    {
+        CounterWindow window;
+        for (unsigned i = 0; i < reps; ++i)
+            run.totalCycles += exec.runPrimitive(prim).cycles;
+        run.counters = window.events();
+    }
 
     run.reconciliation =
         reconcileCycles(machine, run.counters, run.totalCycles);

@@ -9,15 +9,17 @@
  * loop, counter bump — on every execution, and the workload engine
  * executes handlers hundreds of thousands of times per Table 7 cell.
  *
- * decodeProgram() walks the op list once, symbolically, and compiles
- * each phase into a superblock: precomputed base/microcode/ctrl-reg/
- * trap cycle totals, the instruction count, and the batched constant
- * counter bumps, plus a short list of *steps* for the only stateful
- * component left — the write buffer (a cached store always interacts
- * with it; a cached load does too when the machine's reads wait for
- * the buffer to drain). ExecModel::runDecoded() replays the steps
- * against the live buffer and adds the constants, producing an
- * ExecResult identical field-for-field — cycles, instructions, phase
+ * decodeProgram() walks the op list once, pricing each op with the
+ * interpreter's own table (priceOp, cpu/exec_model.hh) times its
+ * count, and compiles each phase into a superblock: precomputed
+ * base/microcode/ctrl-reg/trap cycle totals, the instruction count,
+ * and the batched constant counter bumps, plus a short list of
+ * *steps* for the only stateful component left — the write buffer (a
+ * cached store always interacts with it; a cached load does too when
+ * the machine's reads wait for the buffer to drain).
+ * ExecModel::runDecoded() replays the steps against the live buffer
+ * and adds the constants, producing an ExecResult identical
+ * field-for-field — cycles, instructions, phase
  * breakdowns, counter deltas, profiler attribution — to the
  * interpreter's (tests/test_predecode.cc proves it per machine x
  * primitive; CI cmp-gates whole report documents byte-for-byte).

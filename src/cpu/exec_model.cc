@@ -7,7 +7,6 @@
 #include "cpu/handlers.hh"
 #include "sim/attribution.hh"
 #include "sim/counters/counters.hh"
-#include "sim/logging.hh"
 
 namespace aosd
 {
@@ -88,164 +87,173 @@ ExecModel::ExecModel(const MachineDesc &machine)
     : desc(machine), writeBuffer(machine.writeBuffer)
 {}
 
-Cycles
-ExecModel::chargeOp(const Op &op, Cycles now, CycleBreakdown &bd)
+OpPrice
+priceOp(const MachineDesc &desc, const Op &op)
 {
+    using B = CycleBreakdown;
+    const TimingDesc &t = desc.timing;
+    const CacheDesc &cache = desc.cache;
+    OpPrice p;
+    std::size_t causes = 0, bumps = 0;
+    auto charge = [&](Cycles B::*field, Cycles c) {
+        p.causes[causes++] = {field, c};
+        p.cycles += c;
+    };
+    auto bump = [&](HwCounter c, std::uint64_t n = 1) {
+        p.bumps[bumps++] = {c, n};
+    };
+
     switch (op.kind) {
       case OpKind::Alu:
       case OpKind::Nop:
-        bd.base += 1;
-        countEvent(HwCounter::IssueSlots);
+        charge(&B::base, 1);
+        bump(HwCounter::IssueSlots);
         if (op.kind == OpKind::Nop)
-            countEvent(HwCounter::Nops);
-        return 1;
+            bump(HwCounter::Nops);
+        break;
 
-      case OpKind::Branch: {
-        Cycles c = 1 + desc.timing.branchPenaltyCycles;
-        bd.base += 1;
-        bd.trapHardware += desc.timing.branchPenaltyCycles;
-        countEvent(HwCounter::IssueSlots);
-        countEvent(HwCounter::Branches);
-        countEvent(HwCounter::InterlockCycles,
-                   desc.timing.branchPenaltyCycles);
-        return c;
-      }
+      case OpKind::Branch:
+        charge(&B::base, 1);
+        charge(&B::trapHardware, t.branchPenaltyCycles);
+        bump(HwCounter::IssueSlots);
+        bump(HwCounter::Branches);
+        bump(HwCounter::InterlockCycles, t.branchPenaltyCycles);
+        break;
 
-      case OpKind::Load: {
+      case OpKind::Load:
         if (op.uncached) {
-            bd.uncached += desc.cache.uncachedCycles;
-            countEvent(HwCounter::UncachedAccesses);
-            return desc.cache.uncachedCycles;
+            charge(&B::uncached, cache.uncachedCycles);
+            bump(HwCounter::UncachedAccesses);
+            break;
         }
-        Cycles c = 1;
-        bd.base += 1;
-        countEvent(HwCounter::IssueSlots);
-        countEvent(HwCounter::Loads);
-        if (desc.writeBuffer.readsWaitForDrain) {
-            Cycles wait = writeBuffer.drainTime(now);
-            c += wait;
-            bd.writeBufferStall += wait;
-            if (wait) {
-                countEvent(HwCounter::WbReadWaits);
-                countEvent(HwCounter::WbStallCycles, wait);
-            }
-        }
+        // A load waiting for the buffer to drain waits at its start;
+        // its issue slot and miss penalty follow.
+        charge(&B::base, 1);
+        bump(HwCounter::IssueSlots);
+        bump(HwCounter::Loads);
         if (op.coldMiss) {
-            c += desc.cache.missPenaltyCycles;
-            bd.cacheMissStall += desc.cache.missPenaltyCycles;
-            countEvent(HwCounter::ColdMisses);
+            charge(&B::cacheMissStall, cache.missPenaltyCycles);
+            bump(HwCounter::ColdMisses);
         }
-        return c;
-      }
+        if (desc.writeBuffer.readsWaitForDrain)
+            p.wb = WbInteraction::LoadDrain;
+        break;
 
-      case OpKind::Store: {
+      case OpKind::Store:
         if (op.uncached) {
-            bd.uncached += desc.cache.uncachedCycles;
-            countEvent(HwCounter::UncachedAccesses);
-            return desc.cache.uncachedCycles;
+            charge(&B::uncached, cache.uncachedCycles);
+            bump(HwCounter::UncachedAccesses);
+            break;
         }
         // The store itself issues in one cycle; it may stall waiting
         // for a write buffer slot.
-        Cycles stall = writeBuffer.store(now + 1, op.samePage);
-        bd.base += 1;
-        bd.writeBufferStall += stall;
-        countEvent(HwCounter::IssueSlots);
-        countEvent(HwCounter::Stores);
-        return 1 + stall;
-      }
+        charge(&B::base, 1);
+        bump(HwCounter::IssueSlots);
+        bump(HwCounter::Stores);
+        p.wb = WbInteraction::Store;
+        break;
 
       case OpKind::TrapEnter:
-        bd.trapHardware += desc.timing.trapEnterCycles;
-        countEvent(HwCounter::TrapEnters);
-        return desc.timing.trapEnterCycles;
+        charge(&B::trapHardware, t.trapEnterCycles);
+        bump(HwCounter::TrapEnters);
+        break;
 
       case OpKind::TrapReturn:
-        bd.trapHardware += desc.timing.trapReturnCycles;
-        countEvent(HwCounter::TrapReturns);
-        return desc.timing.trapReturnCycles;
+        charge(&B::trapHardware, t.trapReturnCycles);
+        bump(HwCounter::TrapReturns);
+        break;
 
       case OpKind::CtrlRegRead:
       case OpKind::CtrlRegWrite:
-        bd.ctrlReg += desc.timing.ctrlRegCycles;
-        countEvent(HwCounter::CtrlRegAccesses);
-        return desc.timing.ctrlRegCycles;
+        charge(&B::ctrlReg, t.ctrlRegCycles);
+        bump(HwCounter::CtrlRegAccesses);
+        break;
 
       case OpKind::TlbWrite:
-        bd.tlbOps += desc.tlb.writeEntryCycles;
-        countEvent(HwCounter::TlbWriteOps);
-        return desc.tlb.writeEntryCycles;
+        charge(&B::tlbOps, desc.tlb.writeEntryCycles);
+        bump(HwCounter::TlbWriteOps);
+        break;
 
       case OpKind::TlbProbe:
-        bd.tlbOps += 3;
-        countEvent(HwCounter::TlbProbeOps);
-        return 3;
+        charge(&B::tlbOps, 3);
+        bump(HwCounter::TlbProbeOps);
+        break;
 
       case OpKind::TlbPurgeEntry:
-        bd.tlbOps += desc.tlb.purgeEntryCycles;
-        countEvent(HwCounter::TlbPurgeEntryOps);
-        return desc.tlb.purgeEntryCycles;
+        charge(&B::tlbOps, desc.tlb.purgeEntryCycles);
+        bump(HwCounter::TlbPurgeEntryOps);
+        break;
 
       case OpKind::TlbPurgeAll:
-        bd.tlbOps += desc.tlb.purgeAllCycles;
-        countEvent(HwCounter::TlbPurgeAllOps);
-        return desc.tlb.purgeAllCycles;
+        charge(&B::tlbOps, desc.tlb.purgeAllCycles);
+        bump(HwCounter::TlbPurgeAllOps);
+        break;
 
       case OpKind::CacheFlushLine:
-        bd.cacheMaintenance += desc.cache.flushLineCycles;
-        countEvent(HwCounter::CacheFlushLines);
-        if (tracerEnabled())
-            Tracer::instance().instant(TraceEvent::CacheFlush,
-                                       "cache_flush_line", 1);
-        return desc.cache.flushLineCycles;
+        charge(&B::cacheMaintenance, cache.flushLineCycles);
+        bump(HwCounter::CacheFlushLines);
+        p.instant = {TraceEvent::CacheFlush, "cache_flush_line", 1};
+        break;
 
       case OpKind::CacheFlushAll: {
-        Cycles lines = desc.cache.sizeBytes / desc.cache.lineBytes;
-        Cycles c = lines * desc.cache.flushLineCycles;
-        bd.cacheMaintenance += c;
-        countEvent(HwCounter::CacheFlushLines, lines);
-        if (tracerEnabled())
-            Tracer::instance().instant(TraceEvent::CacheFlush,
-                                       "cache_flush_all", lines);
-        return c;
+        Cycles lines = cache.sizeBytes / cache.lineBytes;
+        charge(&B::cacheMaintenance, lines * cache.flushLineCycles);
+        bump(HwCounter::CacheFlushLines, lines);
+        p.instant = {TraceEvent::CacheFlush, "cache_flush_all", lines};
+        break;
       }
 
       case OpKind::Microcoded:
-        bd.microcode += op.cycles;
-        countEvent(HwCounter::MicrocodeOps);
-        countEvent(HwCounter::MicrocodeCycles, op.cycles);
-        return op.cycles;
+        charge(&B::microcode, op.cycles);
+        bump(HwCounter::MicrocodeOps);
+        bump(HwCounter::MicrocodeCycles, op.cycles);
+        break;
 
       case OpKind::AtomicOp:
         // Interlocked ops bypass the cache and lock the bus.
-        bd.uncached += desc.cache.uncachedCycles;
-        countEvent(HwCounter::AtomicOps);
-        return desc.cache.uncachedCycles;
+        charge(&B::uncached, cache.uncachedCycles);
+        bump(HwCounter::AtomicOps);
+        break;
 
       case OpKind::FpuSync:
-        bd.fpuSync += op.cycles;
-        countEvent(HwCounter::FpuSyncCycles, op.cycles);
-        return op.cycles;
+        charge(&B::fpuSync, op.cycles);
+        bump(HwCounter::FpuSyncCycles, op.cycles);
+        break;
 
       case OpKind::WindowOverflowTrap:
         // Hardware-wise a trap entry; counted and traced as the
         // paper's SPARC cost driver it is.
-        bd.trapHardware += desc.timing.trapEnterCycles;
-        countEvent(HwCounter::WindowOverflows);
-        countEvent(HwCounter::WindowsSpilled);
-        if (tracerEnabled())
-            Tracer::instance().instant(TraceEvent::WindowOverflow,
-                                       "window_overflow");
-        return desc.timing.trapEnterCycles;
+        charge(&B::trapHardware, t.trapEnterCycles);
+        bump(HwCounter::WindowOverflows);
+        bump(HwCounter::WindowsSpilled);
+        p.instant = {TraceEvent::WindowOverflow, "window_overflow"};
+        break;
 
       case OpKind::WindowUnderflowTrap:
-        bd.trapHardware += desc.timing.trapEnterCycles;
-        countEvent(HwCounter::WindowUnderflows);
-        if (tracerEnabled())
-            Tracer::instance().instant(TraceEvent::WindowUnderflow,
-                                       "window_underflow");
-        return desc.timing.trapEnterCycles;
+        charge(&B::trapHardware, t.trapEnterCycles);
+        bump(HwCounter::WindowUnderflows);
+        p.instant = {TraceEvent::WindowUnderflow, "window_underflow"};
+        break;
     }
-    panic("unknown op kind");
+    return p;
+}
+
+Cycles
+ExecModel::wbStep(bool is_store, bool same_page, Cycles now,
+                  CycleBreakdown &bd)
+{
+    if (is_store) {
+        Cycles stall = writeBuffer.store(now + 1, same_page);
+        bd.writeBufferStall += stall;
+        return stall;
+    }
+    Cycles wait = writeBuffer.drainTime(now);
+    bd.writeBufferStall += wait;
+    if (wait) {
+        countEvent(HwCounter::WbReadWaits);
+        countEvent(HwCounter::WbStallCycles, wait);
+    }
+    return wait;
 }
 
 PhaseResult
@@ -253,12 +261,26 @@ ExecModel::runStream(const InstrStream &stream, Cycles start_cycle)
 {
     PhaseResult result;
     Cycles now = start_cycle;
-    for (const auto &op : stream.ops()) {
-        for (std::uint32_t i = 0; i < op.count; ++i)
-            now += chargeOp(op, now, result.breakdown);
-        if (op.countsAsInstr) {
+    for (const Op &op : stream.ops()) {
+        const OpPrice p = priceOp(desc, op);
+        for (std::uint32_t i = 0; i < op.count; ++i) {
+            if (p.wb != WbInteraction::None)
+                now += wbStep(p.wb == WbInteraction::Store,
+                              op.samePage, now, result.breakdown);
+            now += p.cycles;
+            if (p.instant.name && tracerEnabled())
+                Tracer::instance().instant(p.instant.event,
+                                           p.instant.name,
+                                           p.instant.arg);
+        }
+        p.addCauses(result.breakdown, op.count);
+        if (op.countsAsInstr)
             result.instructions += op.count;
-            countEvent(HwCounter::InstrRetired, op.count);
+        if (countersEnabled()) {
+            for (const OpPrice::Bump &b : p.bumps)
+                ctrdetail::add(b.counter, b.n * op.count);
+            if (op.countsAsInstr)
+                ctrdetail::add(HwCounter::InstrRetired, op.count);
         }
     }
     result.cycles = now - start_cycle;
@@ -298,25 +320,13 @@ ExecModel::runDecoded(const DecodedProgram &dec)
         Cycles start = now;
         for (const DecodedStep &st : dp.steps) {
             now += st.gapBefore;
-            if (st.isStore) {
-                Cycles stall = writeBuffer.store(now + 1, st.samePage);
-                pr.breakdown.writeBufferStall += stall;
-                now += stall;
-            } else {
-                Cycles wait = writeBuffer.drainTime(now);
-                pr.breakdown.writeBufferStall += wait;
-                if (wait) {
-                    countEvent(HwCounter::WbReadWaits);
-                    countEvent(HwCounter::WbStallCycles, wait);
-                }
-                now += wait;
-            }
+            now += wbStep(st.isStore, st.samePage, now, pr.breakdown);
         }
         now += dp.tailCycles;
         pr.cycles = now - start;
         if (countersEnabled())
             for (const auto &[c, n] : dp.constCounters)
-                countEvent(c, n);
+                ctrdetail::add(c, n);
         obsPhase(pr, /*traced=*/false);
         result.instructions += pr.instructions;
         result.breakdown += pr.breakdown;

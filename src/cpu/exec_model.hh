@@ -8,18 +8,25 @@
  * and cache-maintenance operations. The cycle totals, divided by the
  * machine clock, regenerate the microsecond columns of Tables 1 and 5;
  * the instruction totals regenerate Table 2.
+ *
+ * What one op costs on one machine is one table, priceOp(): the
+ * interpreter (runStream) applies it per repetition and the decoder
+ * (cpu/decoded_program.hh) applies it once per op, times its count.
  */
 
 #ifndef AOSD_CPU_EXEC_MODEL_HH
 #define AOSD_CPU_EXEC_MODEL_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "arch/isa.hh"
 #include "arch/machine_desc.hh"
 #include "mem/write_buffer.hh"
+#include "sim/counters/counters.hh"
 #include "sim/observers.hh"
+#include "sim/trace.hh"
 
 namespace aosd
 {
@@ -50,6 +57,62 @@ struct CycleBreakdown
 
     CycleBreakdown &operator+=(const CycleBreakdown &o);
 };
+
+/** How one repetition of an op meets the write buffer, the only
+ *  stateful part of its price. */
+enum class WbInteraction : std::uint8_t
+{
+    None,      ///< constant cost only
+    Store,     ///< a cached store, offered to the buffer at start + 1
+    LoadDrain, ///< a cached load held at its start until the buffer
+               ///< drains (readsWaitForDrain machines)
+};
+
+/**
+ * The price of one repetition of an op on one machine: its constant
+ * cycles split by CycleBreakdown cause, its counter bumps, its write-
+ * buffer interaction (whose stall comes on top, before the constant
+ * cycles) and the trace instant the interpreter emits for it.
+ */
+struct OpPrice
+{
+    struct Cause
+    {
+        Cycles CycleBreakdown::*field = &CycleBreakdown::base;
+        Cycles cycles = 0;
+    };
+    struct Bump
+    {
+        HwCounter counter = HwCounter::InstrRetired;
+        std::uint64_t n = 0;
+    };
+    struct Instant
+    {
+        TraceEvent event = TraceEvent::Mark;
+        const char *name = nullptr; ///< nullptr: no instant
+        std::uint64_t arg = 0;
+    };
+
+    Cycles cycles = 0; ///< sum of `causes`
+    std::array<Cause, 2> causes{}; ///< unused entries add 0 to base
+    std::array<Bump, 3> bumps{};   ///< unused entries bump by 0
+    WbInteraction wb = WbInteraction::None;
+    Instant instant;
+
+    /** Charge `n` repetitions' causes to `bd`. */
+    void
+    addCauses(CycleBreakdown &bd, std::uint64_t n) const
+    {
+        for (const Cause &c : causes)
+            bd.*c.field += n * c.cycles;
+    }
+};
+
+/** The one op-price table, shared by the interpreter and the
+ *  decoder. reconcileCycles (sim/counters/reconcile.hh) keeps its own
+ *  penalty list: it checks that these counts times penalties equal
+ *  these cycles. */
+OpPrice priceOp(const MachineDesc &desc, const Op &op);
 
 /** Result of executing one phase. */
 struct PhaseResult
@@ -153,9 +216,11 @@ class ExecModel
     const MachineDesc &machine() const { return desc; }
 
   private:
-    /** Charge one repetition of an op at `now`; returns cycles consumed
-     *  and attributes them in `bd`. */
-    Cycles chargeOp(const Op &op, Cycles now, CycleBreakdown &bd);
+    /** One write-buffer interaction at `now` (a store or a draining
+     *  load): returns its stall, charged to `bd` — the step both the
+     *  interpreter and the decoded replay take. */
+    Cycles wbStep(bool is_store, bool same_page, Cycles now,
+                  CycleBreakdown &bd);
 
     MachineDesc desc;
     WriteBuffer writeBuffer;

@@ -206,16 +206,23 @@ Tlb::lookupMiss(std::uint32_t empty_cell, bool kernel_space)
         cost = kernel_space ? desc.swKernelMissCycles
                             : desc.swUserMissCycles;
     }
-    countEvent(HwCounter::TlbMisses);
-    countEvent(HwCounter::TlbRefillCycles, cost);
-    if (tracerEnabled()) {
-        Tracer::instance().instant(TraceEvent::TlbMiss,
-                                   kernel_space ? "tlb_miss_kernel"
-                                                : "tlb_miss_user",
-                                   cost);
-        Tracer::instance().counter(
-            "tlb_misses",
-            HwCounters::instance().value(HwCounter::TlbMisses));
+    // The counters and the tracer share the observers' flag byte: one
+    // load answers both.
+    if (const std::uint8_t on =
+            observing(obsdetail::counters | obsdetail::tracer)) {
+        if (on & obsdetail::counters) {
+            ctrdetail::add(HwCounter::TlbMisses);
+            ctrdetail::add(HwCounter::TlbRefillCycles, cost);
+        }
+        if (on & obsdetail::tracer) {
+            Tracer::instance().instant(TraceEvent::TlbMiss,
+                                       kernel_space ? "tlb_miss_kernel"
+                                                    : "tlb_miss_user",
+                                       cost);
+            Tracer::instance().counter(
+                "tlb_misses",
+                HwCounters::instance().value(HwCounter::TlbMisses));
+        }
     }
     return {false, 0, {}, cost, empty_cell};
 }
@@ -287,8 +294,6 @@ Tlb::refill(Vpn vpn, Asid asid, Pfn pfn, PageProt prot,
     e.prot = prot;
     e.lastUse = ++useClock;
     ++*statInserts;
-    if (tracerEnabled())
-        Tracer::instance().instant(TraceEvent::TlbFill, "tlb_fill", vpn);
 }
 
 void

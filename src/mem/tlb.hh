@@ -103,8 +103,10 @@ class Tlb
     /** insert() for a translation the caller just observed missing
      *  (the refill after a failed lookup): skips the present-already
      *  probe. Identical observable behaviour to insert() with
-     *  locked=false for a non-present key; calling it for a key that
-     *  IS present corrupts the index.
+     *  locked=false for a non-present key, except that it lays no
+     *  tlb_fill trace record: its hot caller, SimKernel::touchPages,
+     *  traces the fill from its hoisted tracer flag. Calling it for a
+     *  key that IS present corrupts the index.
      *
      *  `fill_cell`, when not ~0u, must be the missing lookup's
      *  TlbLookup::fillCell with no TLB mutation in between: the empty

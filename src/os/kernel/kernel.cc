@@ -102,7 +102,7 @@ SimKernel::chargePrimitive(Primitive p)
         // exactly; its micro-event counter bumps are already folded
         // into the cached cost constants, so they must not leak into
         // the enclosing workload window's counters.
-        CounterPause pause;
+        ObsPause pause(obsdetail::counters);
         ExecResult r = refExec.run(cachedHandler(desc, p));
         cycleCount += r.cycles;
         primCycles += r.cycles;
@@ -361,7 +361,7 @@ SimKernel::emulateInstructions(std::uint64_t n)
         // emulated instruction individually. The stream's total is
         // emulatedInstrCycles by construction, so the charge is
         // identical to the folded fast-path constant below.
-        CounterPause cpause;
+        ObsPause cpause(obsdetail::counters);
         c = 0;
         for (std::uint64_t i = 0; i < n; ++i)
             c += refExec.runStream(emulStepSeq).cycles;
@@ -389,7 +389,7 @@ SimKernel::emulateTestAndSet()
     // constant; the leaf below is its attribution).
     Cycles c;
     if (!predecodeEnabled() && !tracerEnabled()) {
-        CounterPause cpause;
+        ObsPause cpause(obsdetail::counters);
         c = refExec.runStream(tasSeq).cycles;
     } else {
         c = tasCycles;
@@ -416,7 +416,7 @@ SimKernel::interpRefillCost(bool kernel_space)
     // like every other handler. Its micro-event bumps are already
     // folded into the modeled constant, so they must not leak into
     // the workload window (runStream attributes nothing).
-    CounterPause cpause;
+    ObsPause cpause(obsdetail::counters);
     return refExec
         .runStream(kernel_space ? swRefillKernelSeq : swRefillUserSeq)
         .cycles;
@@ -462,6 +462,9 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
             Pte pte =
                 walked ? *walked : Pte{vpn, {}, false, false, false};
             tlbModel.refill(vpn, asid, pte.pfn, pte.prot, r.fillCell);
+            if (tracing)
+                Tracer::instance().instant(TraceEvent::TlbFill,
+                                           "tlb_fill", vpn);
             // Refilling from a *mapped* page table makes the walk
             // itself reference kernel space: possible second-level
             // miss (s5: "Page tables, for instance, remain mapped in
@@ -487,6 +490,10 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
                     ++*statKernelTlbMisses;
                     tlbModel.refill(table_page, 0, table_page, {},
                                     k.fillCell);
+                    if (tracing)
+                        Tracer::instance().instant(TraceEvent::TlbFill,
+                                                   "tlb_fill",
+                                                   table_page);
                 }
             }
         }

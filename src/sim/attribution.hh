@@ -23,8 +23,10 @@
  *
  * The consumers' flags are bits of one thread-local byte
  * (sim/observers.hh), so with all three off a hook is one load and a
- * branch; the fan-out lives out of line. The counters and the sampler
- * keep their own hooks.
+ * branch; the fan-out lives out of line. ObsPause (sim/observers.hh)
+ * pauses them across a helper simulation. The counters and the
+ * sampler share the byte but count events, not charges: they keep
+ * countEvent() and CounterWindow (sim/counters/counters.hh).
  */
 
 #ifndef AOSD_SIM_ATTRIBUTION_HH
@@ -195,31 +197,6 @@ class ObsRepeat
     ProfNode *node_ = nullptr;
     Cycles entryAttributed_ = 0;
     std::uint64_t n_ = 0;
-};
-
-/**
- * RAII pause of the profiler and the span tracer: a helper simulation
- * inside an analytic model (the LRPC steady-state TLB warm-up, the
- * primitive cost table) runs under one, so its charges land neither
- * in the caller's profile tree nor in its open request. The trace
- * timeline still records what ran.
- */
-class ObsPause
-{
-  public:
-    ObsPause() : was_(obsdetail::on & paused)
-    {
-        obsdetail::set(paused, false);
-    }
-    ~ObsPause() { obsdetail::on |= was_; }
-
-    ObsPause(const ObsPause &) = delete;
-    ObsPause &operator=(const ObsPause &) = delete;
-
-  private:
-    static constexpr std::uint8_t paused =
-        obsdetail::profiler | obsdetail::spans;
-    std::uint8_t was_;
 };
 
 } // namespace aosd

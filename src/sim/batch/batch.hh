@@ -26,8 +26,7 @@
 #ifndef AOSD_SIM_BATCH_BATCH_HH
 #define AOSD_SIM_BATCH_BATCH_HH
 
-#include "sim/spantrace/spantrace.hh"
-#include "sim/trace.hh"
+#include "sim/observers.hh"
 
 namespace aosd
 {
@@ -42,12 +41,13 @@ void setBatchEnabled(bool on);
 /** True when no per-event observer is watching: the event tracer
  *  emits one record per event and an open span-traced request nests
  *  one node per invocation, so a run can only be coalesced while both
- *  are idle. Callers with a reference-interpreter mode (predecode
- *  off) must check that separately. */
+ *  are idle (one test of the observers' flag byte). Callers with a
+ *  reference-interpreter mode (predecode off) must check that
+ *  separately. */
 inline bool
 batchObserversIdle()
 {
-    return !tracerEnabled() && !spantraceEnabled();
+    return !observing(obsdetail::tracer | obsdetail::spans);
 }
 
 } // namespace aosd

@@ -1,13 +1,12 @@
 #include "sim/counters/counters.hh"
 
-#include <algorithm>
+#include "sim/sampling/sampler.hh"
 
 namespace aosd
 {
 
 namespace ctrdetail
 {
-thread_local constinit bool on = false;
 thread_local constinit std::array<std::uint64_t, numHwCounters> vals{};
 } // namespace ctrdetail
 
@@ -144,18 +143,6 @@ CounterSet::totalEvents() const
     return n;
 }
 
-void
-CounterSet::merge(const CounterSet &other)
-{
-    for (std::size_t i = 0; i < numHwCounters; ++i) {
-        auto c = static_cast<HwCounter>(i);
-        if (counterIsHighWater(c))
-            v[i] = std::max(v[i], other.v[i]);
-        else
-            v[i] += other.v[i];
-    }
-}
-
 Json
 CounterSet::toJson() const
 {
@@ -179,6 +166,24 @@ HwCounters::snapshot() const
     for (std::size_t i = 0; i < numHwCounters; ++i)
         out.set(static_cast<HwCounter>(i), ctrdetail::vals[i]);
     return out;
+}
+
+CounterWindow::CounterWindow(bool open, const SamplerConfig &sampling,
+                             Cycles start_cycle)
+    : CounterWindow(open)
+{
+    sampling_ = open_ && sampling.intervalCycles > 0;
+    if (sampling_)
+        CounterSampler::instance().begin(sampling, start_cycle);
+}
+
+CounterTimeSeries
+CounterWindow::finish(Cycles end_cycle, double aux)
+{
+    if (!sampling_)
+        return {};
+    sampling_ = false;
+    return CounterSampler::instance().finish(end_cycle, aux);
 }
 
 } // namespace aosd

@@ -16,14 +16,20 @@
  * penalties must reproduce the cycles the execution model charged —
  * the paper's own arithmetic for Tables 1/2/5.
  *
- * Counting is off by default; a disabled bump is one non-atomic load
- * and a predictable branch (the profilerEnabled() pattern), and
- * -DAOSD_DISABLE_OBSERVERS=ON folds it away (sim/observers.hh).
+ * Counting is off by default. Its flag is the `counters` bit of the
+ * observers' flag byte (sim/observers.hh), so a disabled bump is one
+ * non-atomic load and a predictable branch, and
+ * -DAOSD_DISABLE_OBSERVERS=ON folds it away.
+ *
+ * Every measurement opens one CounterWindow: it resets and enables
+ * the counters, optionally opens a sampler session
+ * (sim/sampling/sampler.hh), and on close zeroes the counters and
+ * restores the caller's on/off state.
  *
  * Counter state is per thread: each simulation slice (see
- * sim/parallel/parallel_runner.hh) counts into its own file, so
- * parallel jobs never race on a bump, and shards combine with
- * CounterSet::merge() in task-index order.
+ * sim/parallel/parallel_runner.hh) counts into its own file inside
+ * its own window, so parallel jobs never race on a bump, and each
+ * cell's counts ride in its result.
  */
 
 #ifndef AOSD_SIM_COUNTERS_COUNTERS_HH
@@ -35,6 +41,7 @@
 
 #include "sim/json.hh"
 #include "sim/observers.hh"
+#include "sim/ticks.hh"
 
 namespace aosd
 {
@@ -135,21 +142,27 @@ counterIsHighWater(HwCounter c)
 
 namespace ctrdetail
 {
-/** The counter subsystem's on/off flag and value array. Namespace-
- *  scope (not behind an instance() call) so the disabled fast path in
- *  the execution model's per-op loop is one non-atomic load and a
- *  branch, and thread-local so every simulation slice counts into its
- *  own file without atomics. */
-extern thread_local constinit bool on;
+/** The counter file. Namespace-scope (not behind an instance() call)
+ *  so a bump in the execution model's per-op loop is one add, and
+ *  thread-local so every simulation slice counts into its own file
+ *  without atomics. */
 extern thread_local constinit std::array<std::uint64_t, numHwCounters>
     vals;
+
+/** A bump for a caller that already tested countersEnabled() (or the
+ *  counters bit of one observing() load). */
+inline void
+add(HwCounter c, std::uint64_t n = 1)
+{
+    vals[static_cast<std::size_t>(c)] += n;
+}
 } // namespace ctrdetail
 
 /** Cheapest possible "are counters on?" check for hot paths. */
 inline bool
 countersEnabled()
 {
-    return observersCompiledIn && ctrdetail::on;
+    return observersCompiledIn && (obsdetail::on & obsdetail::counters);
 }
 
 /** Bump an event counter (saturation-free 64-bit accumulate). */
@@ -157,7 +170,7 @@ inline void
 countEvent(HwCounter c, std::uint64_t n = 1)
 {
     if (countersEnabled())
-        ctrdetail::vals[static_cast<std::size_t>(c)] += n;
+        ctrdetail::add(c, n);
 }
 
 /** Raise a high-water counter to `v` if `v` exceeds it. */
@@ -170,25 +183,6 @@ countHighWater(HwCounter c, std::uint64_t v)
             s = v;
     }
 }
-
-/**
- * RAII: suspend counting across a scope, restoring the previous
- * enablement on exit. Used by reference re-executions (the predecode-
- * off kernel path) whose microarchitectural events are already folded
- * into the cached cost constants and must not leak into an enclosing
- * measurement window.
- */
-class CounterPause
-{
-  public:
-    CounterPause() : was(ctrdetail::on) { ctrdetail::on = false; }
-    ~CounterPause() { ctrdetail::on = was; }
-    CounterPause(const CounterPause &) = delete;
-    CounterPause &operator=(const CounterPause &) = delete;
-
-  private:
-    bool was;
-};
 
 /**
  * A value snapshot of every counter. Plain data: copyable, comparable,
@@ -219,12 +213,6 @@ class CounterSet
      *  "did anything happen" probe for tests. */
     std::uint64_t totalEvents() const;
 
-    /** Fold another shard's events into this one: counters sum,
-     *  high-water counters keep the larger value. Commutative and
-     *  associative with the zero CounterSet as identity, so merging
-     *  parallel slices in task-index order is well defined. */
-    void merge(const CounterSet &other);
-
     /** {"<counter_name>": value, ...} — every counter, declaration
      *  order, zeros included (goldens diff cleanly). */
     Json toJson() const;
@@ -239,7 +227,8 @@ class CounterSet
  * The calling thread's counter file (per-thread, like the tracer and
  * profiler, so each simulation slice counts independently). enable()
  * resets and starts counting; components bump via countEvent()/
- * countHighWater().
+ * countHighWater(). Measurements open a CounterWindow rather than
+ * driving these by hand.
  */
 class HwCounters
 {
@@ -251,14 +240,14 @@ class HwCounters
     enable()
     {
         reset();
-        ctrdetail::on = true;
+        resume();
     }
 
     /** Stop counting; values remain readable. */
-    void disable() { ctrdetail::on = false; }
+    void disable() { obsdetail::set(obsdetail::counters, false); }
 
     /** Continue counting without resetting. */
-    void resume() { ctrdetail::on = true; }
+    void resume() { obsdetail::set(obsdetail::counters, true); }
 
     bool enabled() const { return countersEnabled(); }
 
@@ -279,6 +268,66 @@ class HwCounters
 
   private:
     HwCounters() = default;
+};
+
+struct SamplerConfig;
+struct CounterTimeSeries;
+
+/**
+ * RAII counter session over one measured run: every counted
+ * measurement (a primitive, a workload cell, a traffic cell, a span
+ * cell, a reference-trace replay) opens one.
+ *
+ * Opening resets and enables the counters, so events() is the run's
+ * delta. A window constructed with a SamplerConfig whose interval is
+ * nonzero also opens a sampler session (sim/sampling/sampler.hh):
+ * the workload ticks the sampler as it runs and finish() returns the
+ * series. Closing stops the sampler, zeroes the counters and restores
+ * the caller's on/off state. A window constructed with `open` false
+ * does nothing at all.
+ */
+class CounterWindow
+{
+  public:
+    explicit CounterWindow(bool open = true) : open_(open)
+    {
+        if (!open_)
+            return;
+        wasOn_ = HwCounters::instance().enabled();
+        HwCounters::instance().enable();
+    }
+    CounterWindow(bool open, const SamplerConfig &sampling,
+                  Cycles start_cycle = 0);
+
+    ~CounterWindow()
+    {
+        if (!open_)
+            return;
+        if (sampling_)
+            obsdetail::set(obsdetail::sampler, false);
+        HwCounters &ctrs = HwCounters::instance();
+        ctrs.disable();
+        ctrs.reset();
+        if (wasOn_)
+            ctrs.resume();
+    }
+
+    CounterWindow(const CounterWindow &) = delete;
+    CounterWindow &operator=(const CounterWindow &) = delete;
+
+    /** Events counted since the window opened. */
+    CounterSet events() const { return HwCounters::instance().snapshot(); }
+
+    /** Close the sampler session with a closing sample at `end_cycle`
+     *  (aux `aux`) and hand back its series; empty when the window
+     *  opened no session. Counting continues until the window
+     *  closes. */
+    CounterTimeSeries finish(Cycles end_cycle, double aux = 0);
+
+  private:
+    bool open_ = false;
+    bool wasOn_ = false;
+    bool sampling_ = false;
 };
 
 } // namespace aosd

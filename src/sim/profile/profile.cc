@@ -34,16 +34,6 @@ ProfNode::totalCycles() const
     return total;
 }
 
-void
-ProfNode::mergeFrom(const ProfNode &other)
-{
-    selfCycles += other.selfCycles;
-    entries += other.entries;
-    spans.merge(other.spans);
-    for (const auto &oc : other.children)
-        child(oc->name.c_str())->mergeFrom(*oc);
-}
-
 Json
 ProfNode::toJson() const
 {

@@ -21,7 +21,8 @@
  *
  * Profiler state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) attributes into its own tree, and
- * shard trees combine with ProfNode::mergeFrom() in task-index order.
+ * what a cell reads from it rides in the cell's result, which the
+ * runner collects in task-index order.
  */
 
 #ifndef AOSD_SIM_PROFILE_PROFILE_HH
@@ -70,13 +71,6 @@ struct ProfNode
 
     /** selfCycles plus every descendant's. */
     Cycles totalCycles() const;
-
-    /** Fold another shard's subtree into this one: cycles, entry
-     *  counts and span histograms sum node by node (matched by name;
-     *  unmatched children are deep-copied in the other tree's child
-     *  order). Associative with the empty tree as identity, so merging
-     *  parallel slices in task-index order is well defined. */
-    void mergeFrom(const ProfNode &other);
 
     /** {"self_cycles":..,"total_cycles":..,"count":..,
      *   "p50_cycles":..,"p90_cycles":..,"p99_cycles":..,

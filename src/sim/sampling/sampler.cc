@@ -1,14 +1,11 @@
 #include "sim/sampling/sampler.hh"
 
+#include <utility>
+
 #include "sim/trace.hh"
 
 namespace aosd
 {
-
-namespace smpdetail
-{
-thread_local constinit bool on = false;
-} // namespace smpdetail
 
 CounterSampler &
 CounterSampler::instance()
@@ -18,21 +15,18 @@ CounterSampler::instance()
 }
 
 void
-CounterSampler::begin(const SamplerConfig &cfg, Cycles start_cycle,
-                      double aux)
+CounterSampler::begin(const SamplerConfig &cfg, Cycles start_cycle)
 {
     series_ = CounterTimeSeries{};
     series_.intervalCycles = cfg.intervalCycles;
     series_.startCycle = start_cycle;
     series_.endCycle = start_cycle;
-    series_.base = {start_cycle, aux,
-                    HwCounters::instance().snapshot()};
-    series_.samples.clear();
+    series_.base = {start_cycle, 0, HwCounters::instance().snapshot()};
     series_.samples.reserve(cfg.capacity);
     cap = cfg.capacity ? cfg.capacity : 1;
     nextDue = start_cycle + cfg.intervalCycles;
     lastSample = start_cycle;
-    smpdetail::on = observersCompiledIn && cfg.intervalCycles > 0;
+    obsdetail::set(obsdetail::sampler, true);
 }
 
 void
@@ -124,15 +118,16 @@ CounterSampler::tickRun(Cycles start, Cycles per_event,
     }
 }
 
-void
+CounterTimeSeries
 CounterSampler::finish(Cycles end_cycle, double aux)
 {
-    if (!samplingEnabled())
-        return;
-    if (end_cycle > lastSample)
-        take(end_cycle, aux);
-    series_.endCycle = end_cycle;
-    smpdetail::on = false;
+    if (samplingEnabled()) {
+        if (end_cycle > lastSample)
+            take(end_cycle, aux);
+        series_.endCycle = end_cycle;
+    }
+    obsdetail::set(obsdetail::sampler, false);
+    return std::move(series_);
 }
 
 Json

@@ -14,16 +14,22 @@
  * phase-resolved view that connects OS behavior back to architectural
  * mechanisms.
  *
- * Sampling is off by default; a disabled tick is one thread-local load
- * and a predictable branch (the countersEnabled() / profilerEnabled()
- * pattern), and -DAOSD_DISABLE_OBSERVERS=ON folds it away
- * (sim/observers.hh).
+ * Sampling is off by default. Its flag is the `sampler` bit of the
+ * observers' flag byte (sim/observers.hh), so a disabled tick is one
+ * thread-local load and a predictable branch, and
+ * -DAOSD_DISABLE_OBSERVERS=ON folds it away.
+ *
+ * A session opens and closes only through a CounterWindow
+ * (sim/counters/counters.hh) constructed with a SamplerConfig: the
+ * window enables the counters the samples snapshot, and its finish()
+ * takes the closing sample and hands back the series. Inside the
+ * window the kernel and the workload loops call tick()/tickRun().
  *
  * Sampler state is per thread: each simulation slice (see
- * sim/parallel/parallel_runner.hh) samples its own cell, drivers open
- * and close a session per cell, and the extracted series rides in the
- * cell's result — so fanning cells across workers produces the same
- * bytes as the serial loop.
+ * sim/parallel/parallel_runner.hh) samples its own cell inside its own
+ * window, and the extracted series rides in the cell's result — so
+ * fanning cells across workers produces the same bytes as the serial
+ * loop.
  */
 
 #ifndef AOSD_SIM_SAMPLING_SAMPLER_HH
@@ -41,20 +47,11 @@
 namespace aosd
 {
 
-namespace smpdetail
-{
-/** The sampler's on/off flag. Namespace-scope and thread-local so the
- *  disabled fast path in the workload drivers' per-iteration loops is
- *  one load and a branch, and each simulation slice samples
- *  independently. */
-extern thread_local constinit bool on;
-} // namespace smpdetail
-
 /** Cheapest possible "is sampling on?" check for hot paths. */
 inline bool
 samplingEnabled()
 {
-    return observersCompiledIn && smpdetail::on;
+    return observersCompiledIn && (obsdetail::on & obsdetail::sampler);
 }
 
 /** How a sampling session runs. */
@@ -102,10 +99,10 @@ struct CounterTimeSeries
 
 /**
  * The calling thread's sampling engine. A driver that owns a cycle
- * domain opens a session with begin(), calls tick(now, aux) at natural
- * points of its main loop (a due sample is taken when `now` crosses
- * the next interval boundary), and closes with finish(), after which
- * series() hands back the collected time series.
+ * domain opens a CounterWindow with a SamplerConfig, calls tick(now,
+ * aux) at natural points of its main loop (a due sample is taken when
+ * `now` crosses the next interval boundary), and takes the series from
+ * the window's finish().
  *
  * When the tracer is enabled, every sample also emits Perfetto
  * "C"-phase counter records ("ts/..." series), so a traced workload
@@ -116,17 +113,6 @@ class CounterSampler
 {
   public:
     static CounterSampler &instance();
-
-    /** Open a session: reset the ring, record the baseline snapshot at
-     *  `start_cycle`, start answering tick(). Requires counters to be
-     *  enabled by the caller (the sampler snapshots, never enables). */
-    void begin(const SamplerConfig &cfg, Cycles start_cycle = 0,
-               double aux = 0);
-
-    /** Take a closing sample at `end_cycle` (if the window advanced
-     *  past the last sample) and stop sampling. The collected series
-     *  remains readable until the next begin(). */
-    void finish(Cycles end_cycle, double aux = 0);
 
     /** Hot path: sample if `now` reached the next due boundary. */
     void
@@ -161,13 +147,22 @@ class CounterSampler
     bool active() const { return samplingEnabled(); }
 
     std::size_t size() const { return series_.samples.size(); }
-    std::uint64_t dropped() const { return series_.dropped; }
-
-    /** The session's series (valid after finish()). */
-    const CounterTimeSeries &series() const { return series_; }
 
   private:
+    friend class CounterWindow;
+
     CounterSampler() = default;
+
+    /** Open a session: reset the ring, record the baseline snapshot at
+     *  `start_cycle`, start answering tick(). The window has enabled
+     *  the counters (the sampler snapshots, never enables). */
+    void begin(const SamplerConfig &cfg, Cycles start_cycle);
+
+    /** Take a closing sample at `end_cycle` (if the window advanced
+     *  past the last sample), stop sampling and hand the series
+     *  over. */
+    CounterTimeSeries finish(Cycles end_cycle, double aux);
+
     void take(Cycles now, double aux);
     /** Append one sample (ring semantics, Perfetto tracks, nextDue). */
     void record(Cycles now, double aux, CounterSet &&snap);

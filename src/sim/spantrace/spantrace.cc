@@ -35,24 +35,6 @@ SpanSession::find(const std::string &name) const
     return nullptr;
 }
 
-void
-SpanSession::merge(const SpanSession &other)
-{
-    for (const auto &[name, hist] : other.hists) {
-        Histogram *mine = nullptr;
-        for (auto &[my_name, my_hist] : hists)
-            if (my_name == name)
-                mine = &my_hist;
-        if (mine)
-            mine->merge(hist);
-        else
-            hists.emplace_back(name, hist);
-    }
-    requests.insert(requests.end(), other.requests.begin(),
-                    other.requests.end());
-    dropped += other.dropped;
-}
-
 SpanTracer &
 SpanTracer::instance()
 {

@@ -22,8 +22,8 @@
  *
  * Tracer state is per thread: each simulation slice (see
  * sim/parallel/parallel_runner.hh) traces into its own session, and
- * shard sessions combine with SpanSession::merge() in task-index
- * order, so `--jobs N` output is byte-identical.
+ * each cell's analysis rides in its result, which the runner collects
+ * in task-index order, so `--jobs N` output is byte-identical.
  */
 
 #ifndef AOSD_SIM_SPANTRACE_SPANTRACE_HH
@@ -94,13 +94,6 @@ struct SpanSession
     std::uint64_t dropped = 0;
 
     const Histogram *find(const std::string &name) const;
-
-    /** Fold another shard's session into this one: histograms merge
-     *  by name (unmatched names append in the other's order),
-     *  requests append after ours, dropped counts sum. Associative
-     *  with the empty session as identity, so merging parallel slices
-     *  in task-index order is well defined. */
-    void merge(const SpanSession &other);
 };
 
 /**

@@ -482,20 +482,13 @@ tlbMissesPerSwitch(const MachineDesc &machine)
     kernel.contextSwitchTo(b);
     kernel.touchWorkingSet();
 
-    HwCounters &hw = HwCounters::instance();
-    bool was_on = hw.enabled();
-    hw.enable();
-    CounterSet base = hw.snapshot();
+    CounterWindow window;
     for (unsigned i = 0; i < switches; ++i) {
         kernel.contextSwitchTo(i % 2 == 0 ? a : b);
         kernel.touchWorkingSet();
     }
-    CounterSet d = hw.snapshot().delta(base);
-    hw.disable();
-    hw.reset();
-    if (was_on)
-        hw.resume();
-    return static_cast<double>(d.get(HwCounter::TlbMisses)) /
+    return static_cast<double>(
+               window.events().get(HwCounter::TlbMisses)) /
            switches;
 }
 

@@ -164,7 +164,7 @@ runSpanCell(const MachineDesc &machine, Primitive prim,
 
     Rng rng(opts.seed ^ fnv1a(machineSlug(machine.id)) ^
             fnv1a(primitiveSlug(prim)));
-    HwCounters::instance().enable();
+    CounterWindow window;
     SpanTracer &tracer = SpanTracer::instance();
     tracer.enable(opts.requestsPerPair);
 
@@ -201,7 +201,6 @@ runSpanCell(const MachineDesc &machine, Primitive prim,
         tracer.endRequest(kernel.elapsedCycles());
     }
     SpanSession session = tracer.take();
-    HwCounters::instance().disable();
 
     Json cell = Json::object();
     cell.set("requests", Json(static_cast<std::uint64_t>(

@@ -113,18 +113,10 @@ MachSystem::run(const AppProfile &app)
     // Counter window over the measured run. Only opened when the
     // config asks for sampling or the kernel-window check, so the
     // default configuration behaves exactly as before this existed.
-    bool want_counters =
-        cfg.samplingIntervalCycles > 0 || cfg.measureKernelWindow;
-    bool ctrs_were_on = HwCounters::instance().enabled();
-    CounterSet ctr_base;
-    if (want_counters) {
-        HwCounters::instance().enable(); // resets
-        ctr_base = HwCounters::instance().snapshot();
-    }
+    CounterWindow window(
+        cfg.samplingIntervalCycles > 0 || cfg.measureKernelWindow,
+        {cfg.samplingIntervalCycles, cfg.samplerCapacity});
     CounterSampler &sampler = CounterSampler::instance();
-    if (cfg.samplingIntervalCycles > 0)
-        sampler.begin({cfg.samplingIntervalCycles,
-                       cfg.samplerCapacity});
 
     bool needs_tas_emulation = !desc.hasAtomicOp;
     Cycles atomic_lock_cost =
@@ -226,24 +218,14 @@ MachSystem::run(const AppProfile &app)
         100.0 * static_cast<double>(kernel.primitiveCycles()) /
         static_cast<double>(std::max<Cycles>(kernel.elapsedCycles(), 1));
 
-    if (cfg.samplingIntervalCycles > 0) {
-        sampler.finish(kernel.elapsedCycles(),
-                       static_cast<double>(kernel.primitiveCycles()));
-        row.timeseries = sampler.series();
-    }
+    row.timeseries =
+        window.finish(kernel.elapsedCycles(),
+                      static_cast<double>(kernel.primitiveCycles()));
     if (cfg.measureKernelWindow) {
-        CounterSet events =
-            HwCounters::instance().snapshot().delta(ctr_base);
         row.kernelWindow = reconcileKernelWindow(
-            kernelWindowCosts(desc), events,
+            kernelWindowCosts(desc), window.events(),
             kernel.primitiveCycles());
         row.hasKernelWindow = true;
-    }
-    if (want_counters) {
-        HwCounters::instance().disable();
-        HwCounters::instance().reset();
-        if (ctrs_were_on)
-            HwCounters::instance().resume();
     }
     return row;
 }

@@ -13,14 +13,10 @@ runRefTrace(const MachineDesc &machine, const RefTraceConfig &cfg)
     // The replay's cycle domain: one cycle per reference, plus refill
     // cycles on misses and purge cycles on untagged-TLB switches.
     Cycles refill_cycles = 0; // cumulative, the occupancy aux channel
-    bool sampling = cfg.samplingIntervalCycles > 0;
-    bool ctrs_were_on = HwCounters::instance().enabled();
-    if (sampling)
-        HwCounters::instance().enable(); // resets
+    CounterWindow window(cfg.samplingIntervalCycles > 0,
+                         {cfg.samplingIntervalCycles,
+                          cfg.samplerCapacity});
     CounterSampler &sampler = CounterSampler::instance();
-    if (sampling)
-        sampler.begin({cfg.samplingIntervalCycles,
-                       cfg.samplerCapacity});
 
     Asid current = 1;
     double switch_prob =
@@ -72,15 +68,8 @@ runRefTrace(const MachineDesc &machine, const RefTraceConfig &cfg)
                      static_cast<double>(refill_cycles));
     }
 
-    if (sampling) {
-        sampler.finish(r.cycles,
-                       static_cast<double>(refill_cycles));
-        r.timeseries = sampler.series();
-        HwCounters::instance().disable();
-        HwCounters::instance().reset();
-        if (ctrs_were_on)
-            HwCounters::instance().resume();
-    }
+    r.timeseries =
+        window.finish(r.cycles, static_cast<double>(refill_cycles));
     return r;
 }
 

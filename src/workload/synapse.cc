@@ -48,10 +48,8 @@ simulateSynapseRun(const MachineDesc &machine, const SynapseRun &run,
     Cycles interval = std::max<Cycles>(
         1, total / std::max<unsigned>(target_samples, 1));
 
-    bool ctrs_were_on = HwCounters::instance().enabled();
-    HwCounters::instance().enable(); // resets
+    CounterWindow window(true, {interval, 4096});
     CounterSampler &sampler = CounterSampler::instance();
-    sampler.begin({interval, 4096});
 
     // Interleave chronologically: spread the calls evenly across the
     // switch boundaries (integer arithmetic, no rounding drift).
@@ -76,12 +74,8 @@ simulateSynapseRun(const MachineDesc &machine, const SynapseRun &run,
     }
     r.totalCycles = now;
 
-    sampler.finish(now, static_cast<double>(r.switchCycles));
-    r.timeseries = sampler.series();
-    HwCounters::instance().disable();
-    HwCounters::instance().reset();
-    if (ctrs_were_on)
-        HwCounters::instance().resume();
+    r.timeseries =
+        window.finish(now, static_cast<double>(r.switchCycles));
     return r;
 }
 

@@ -244,11 +244,9 @@ runCell(const TrafficConfig &cfg, MachineId mid, std::size_t level_idx)
     AddressSpace &space = kernel.createSpace("traffic");
     space.mapRange(trafficPteBase, trafficPtePages, 0x50000, {});
 
-    // Own counter session per cell (the os_model idiom): enable()
-    // resets this worker thread's counter file; restore on exit.
-    bool ctrs_were_on = HwCounters::instance().enabled();
-    HwCounters::instance().enable();
-    CounterSet ctr_base = HwCounters::instance().snapshot();
+    // Own counter window per cell: opening resets this worker
+    // thread's counter file; closing restores the caller's state.
+    CounterWindow window;
 
     Rng rng(cellSeed(cfg.seed, mid, level_idx));
     BurstyState bursty;
@@ -358,14 +356,8 @@ runCell(const TrafficConfig &cfg, MachineId mid, std::size_t level_idx)
             next_submit[client] = finish + drawUpTo(rng, think_bound);
     }
 
-    CounterSet events =
-        HwCounters::instance().snapshot().delta(ctr_base);
     Reconciliation recon = reconcileKernelWindow(
-        kc, events, kernel.primitiveCycles());
-    HwCounters::instance().disable();
-    HwCounters::instance().reset();
-    if (ctrs_were_on)
-        HwCounters::instance().resume();
+        kc, window.events(), kernel.primitiveCycles());
 
     const double clock_hz = desc.clock.mhz() * 1e6;
     const double elapsed_s =

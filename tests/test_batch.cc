@@ -46,11 +46,7 @@ class BatchTest : public ::testing::Test
     }
 
     void
-    TearDown() override
-    {
-        CounterSampler::instance().finish(0);
-        SetUp();
-    }
+    TearDown() override { SetUp(); }
 };
 
 /** Everything a kernel event mutates, captured for comparison. */
@@ -82,29 +78,26 @@ runMix(MachineId mid, std::uint64_t total_events, std::uint64_t seed,
     SimKernel kernel(m);
     AddressSpace &space = kernel.createSpace("mix");
     space.mapRange(0x1000, 64, 0x50000, {});
-    HwCounters::instance().enable();
+    CounterWindow window(true, {sample_each ? 10'000u : 0u, 4096});
     Profiler::instance().enable();
-    if (sample_each)
-        CounterSampler::instance().begin({10'000, 4096});
 
     replayEventMix(kernel, &space, total_events, seed, sample_each);
 
     RunState out;
     out.elapsed = kernel.elapsedCycles();
     out.primitive = kernel.primitiveCycles();
-    out.counters = HwCounters::instance().snapshot();
+    out.counters = window.events();
     out.stats = kernel.stats().toJson().dump();
     out.profile = Profiler::instance().toJson().dump();
-    if (sample_each) {
-        CounterSampler::instance().finish(
-            kernel.elapsedCycles(),
-            static_cast<double>(kernel.primitiveCycles()));
-        out.stats += CounterSampler::instance().series().toJson().dump();
-    }
+    if (sample_each)
+        out.stats +=
+            window
+                .finish(kernel.elapsedCycles(),
+                        static_cast<double>(kernel.primitiveCycles()))
+                .toJson()
+                .dump();
     Profiler::instance().disable();
     Profiler::instance().clear();
-    HwCounters::instance().disable();
-    HwCounters::instance().reset();
     return out;
 }
 
@@ -198,20 +191,15 @@ CounterTimeSeries
 perEventSeries(Cycles interval, Cycles per_event, std::uint64_t n,
                std::uint64_t aux_per_event)
 {
-    HwCounters::instance().enable();
+    CounterWindow window(true, {interval, 4096});
     CounterSampler &s = CounterSampler::instance();
-    s.begin({interval, 4096});
     for (std::uint64_t i = 1; i <= n; ++i) {
         countEvent(HwCounter::KernelTraps);
         s.tick(per_event * i,
                static_cast<double>(aux_per_event * i));
     }
-    s.finish(per_event * n,
-             static_cast<double>(aux_per_event * n));
-    CounterTimeSeries out = s.series();
-    HwCounters::instance().disable();
-    HwCounters::instance().reset();
-    return out;
+    return window.finish(per_event * n,
+                         static_cast<double>(aux_per_event * n));
 }
 
 /** Batched equivalent: all counter bumps land first, then one
@@ -220,19 +208,14 @@ CounterTimeSeries
 tickRunSeries(Cycles interval, Cycles per_event, std::uint64_t n,
               std::uint64_t aux_per_event)
 {
-    HwCounters::instance().enable();
-    CounterSampler &s = CounterSampler::instance();
-    s.begin({interval, 4096});
+    CounterWindow window(true, {interval, 4096});
     countEvent(HwCounter::KernelTraps, n);
     CounterSet per;
     per.set(HwCounter::KernelTraps, 1);
-    s.tickRun(0, per_event, n, per, 0, aux_per_event);
-    s.finish(per_event * n,
-             static_cast<double>(aux_per_event * n));
-    CounterTimeSeries out = s.series();
-    HwCounters::instance().disable();
-    HwCounters::instance().reset();
-    return out;
+    CounterSampler::instance().tickRun(0, per_event, n, per, 0,
+                                       aux_per_event);
+    return window.finish(per_event * n,
+                         static_cast<double>(aux_per_event * n));
 }
 
 TEST_F(BatchTest, TickRunEmitsOneSamplePerCrossedBoundary)
@@ -286,7 +269,7 @@ TEST_F(BatchTest, TickRunWithoutSessionIsANoOp)
     CounterSet per;
     per.set(HwCounter::KernelTraps, 1);
     s.tickRun(0, 100, 50, per, 0, 100);
-    EXPECT_TRUE(s.series().empty());
+    EXPECT_EQ(s.size(), 0u);
 }
 
 } // namespace

@@ -37,33 +37,28 @@ TEST(ObserversTest, CompiledOutHooksRecordNothing)
     kernel.contextSwitchTo(kernel.createSpace("app"));
 
     Profiler &prof = Profiler::instance();
-    HwCounters &ctrs = HwCounters::instance();
     SpanTracer &spans = SpanTracer::instance();
-    CounterSampler &sampler = CounterSampler::instance();
     prof.enable();
-    ctrs.enable();
     spans.enable(4);
-    sampler.begin({1, 16}, kernel.elapsedCycles());
+    CounterWindow window(true, {1, 16}, kernel.elapsedCycles());
 
     spans.beginRequest("null_syscall", 0, kernel.elapsedCycles());
     kernel.syscall();
     spans.endRequest(kernel.elapsedCycles());
-    sampler.tick(kernel.elapsedCycles());
-    sampler.finish(kernel.elapsedCycles());
+    CounterSampler::instance().tick(kernel.elapsedCycles());
+    CounterTimeSeries series = window.finish(kernel.elapsedCycles());
 
     const bool records = observersCompiledIn;
     EXPECT_NE(prof.root().children.empty(), records);
     EXPECT_EQ(prof.attributedCycles() > 0, records);
-    EXPECT_EQ(ctrs.snapshot().totalEvents() > 0, records);
-    EXPECT_NE(sampler.series().empty(), records);
+    EXPECT_EQ(window.events().totalEvents() > 0, records);
+    EXPECT_NE(series.empty(), records);
     SpanSession session = spans.take();
     EXPECT_EQ(session.requests.size(), records ? 1u : 0u);
     EXPECT_NE(session.hists.empty(), records);
 
     prof.disable();
     prof.clear();
-    ctrs.disable();
-    ctrs.reset();
 }
 
 /** Inclusive cycles per path ("syscall/kernel_entry_exit") below

@@ -12,6 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "arch/machines.hh"
 #include "cpu/decoded_program.hh"
 #include "cpu/exec_model.hh"
@@ -109,6 +114,161 @@ TEST_F(PredecodeTest, DecodedCounterBumpsMatchInterpreter)
             c.disable();
             EXPECT_EQ(interp, decoded);
         }
+    }
+}
+
+// ---- the shared price table against MachineDesc literals ----------
+
+/** One op's expected price, written from MachineDesc fields. */
+struct PriceCase
+{
+    const char *name;
+    Op op;
+    Cycles cycles;
+    CycleBreakdown breakdown;
+    std::vector<std::pair<HwCounter, std::uint64_t>> counters;
+};
+
+Op
+opOf(OpKind kind, std::uint32_t cycles = 0, bool uncached = false,
+     bool cold_miss = false)
+{
+    Op op;
+    op.kind = kind;
+    op.cycles = cycles;
+    op.uncached = uncached;
+    op.coldMiss = cold_miss;
+    return op;
+}
+
+/** Every OpKind (and each Load/Store variant) once, retired as one
+ *  instruction against a quiescent write buffer. */
+std::vector<PriceCase>
+priceCases(const MachineDesc &m)
+{
+    using C = HwCounter;
+    const Cycles bp = m.timing.branchPenaltyCycles;
+    const Cycles miss = m.cache.missPenaltyCycles;
+    const Cycles unc = m.cache.uncachedCycles;
+    const Cycles enter = m.timing.trapEnterCycles;
+    const Cycles lines = m.cache.sizeBytes / m.cache.lineBytes;
+    auto bd = [](Cycles CycleBreakdown::*cause, Cycles c,
+                 Cycles CycleBreakdown::*cause2 = nullptr,
+                 Cycles c2 = 0) {
+        CycleBreakdown out;
+        out.*cause += c;
+        if (cause2)
+            out.*cause2 += c2;
+        return out;
+    };
+    using B = CycleBreakdown;
+    return {
+        {"alu", opOf(OpKind::Alu), 1, bd(&B::base, 1),
+         {{C::IssueSlots, 1}}},
+        {"nop", opOf(OpKind::Nop), 1, bd(&B::base, 1),
+         {{C::IssueSlots, 1}, {C::Nops, 1}}},
+        {"branch", opOf(OpKind::Branch), 1 + bp,
+         bd(&B::base, 1, &B::trapHardware, bp),
+         {{C::IssueSlots, 1}, {C::Branches, 1}, {C::InterlockCycles, bp}}},
+        {"load", opOf(OpKind::Load), 1, bd(&B::base, 1),
+         {{C::IssueSlots, 1}, {C::Loads, 1}}},
+        {"load_cold", opOf(OpKind::Load, 0, false, true), 1 + miss,
+         bd(&B::base, 1, &B::cacheMissStall, miss),
+         {{C::IssueSlots, 1}, {C::Loads, 1}, {C::ColdMisses, 1}}},
+        {"load_uncached", opOf(OpKind::Load, 0, true), unc,
+         bd(&B::uncached, unc), {{C::UncachedAccesses, 1}}},
+        {"store", opOf(OpKind::Store), 1, bd(&B::base, 1),
+         {{C::IssueSlots, 1},
+          {C::Stores, 1},
+          {C::WbStores, 1},
+          {C::WbOccupancyHighWater, 1}}},
+        {"store_uncached", opOf(OpKind::Store, 0, true), unc,
+         bd(&B::uncached, unc), {{C::UncachedAccesses, 1}}},
+        {"trap_enter", opOf(OpKind::TrapEnter), enter,
+         bd(&B::trapHardware, enter), {{C::TrapEnters, 1}}},
+        {"trap_return", opOf(OpKind::TrapReturn),
+         m.timing.trapReturnCycles,
+         bd(&B::trapHardware, m.timing.trapReturnCycles),
+         {{C::TrapReturns, 1}}},
+        {"ctrl_read", opOf(OpKind::CtrlRegRead), m.timing.ctrlRegCycles,
+         bd(&B::ctrlReg, m.timing.ctrlRegCycles),
+         {{C::CtrlRegAccesses, 1}}},
+        {"ctrl_write", opOf(OpKind::CtrlRegWrite),
+         m.timing.ctrlRegCycles, bd(&B::ctrlReg, m.timing.ctrlRegCycles),
+         {{C::CtrlRegAccesses, 1}}},
+        {"tlb_write", opOf(OpKind::TlbWrite), m.tlb.writeEntryCycles,
+         bd(&B::tlbOps, m.tlb.writeEntryCycles), {{C::TlbWriteOps, 1}}},
+        {"tlb_probe", opOf(OpKind::TlbProbe), 3, bd(&B::tlbOps, 3),
+         {{C::TlbProbeOps, 1}}},
+        {"tlb_purge_entry", opOf(OpKind::TlbPurgeEntry),
+         m.tlb.purgeEntryCycles, bd(&B::tlbOps, m.tlb.purgeEntryCycles),
+         {{C::TlbPurgeEntryOps, 1}}},
+        {"tlb_purge_all", opOf(OpKind::TlbPurgeAll),
+         m.tlb.purgeAllCycles, bd(&B::tlbOps, m.tlb.purgeAllCycles),
+         {{C::TlbPurgeAllOps, 1}}},
+        {"cache_flush_line", opOf(OpKind::CacheFlushLine),
+         m.cache.flushLineCycles,
+         bd(&B::cacheMaintenance, m.cache.flushLineCycles),
+         {{C::CacheFlushLines, 1}}},
+        {"cache_flush_all", opOf(OpKind::CacheFlushAll),
+         lines * m.cache.flushLineCycles,
+         bd(&B::cacheMaintenance, lines * m.cache.flushLineCycles),
+         {{C::CacheFlushLines, lines}}},
+        {"microcoded", opOf(OpKind::Microcoded, 7), 7,
+         bd(&B::microcode, 7),
+         {{C::MicrocodeOps, 1}, {C::MicrocodeCycles, 7}}},
+        {"atomic", opOf(OpKind::AtomicOp), unc, bd(&B::uncached, unc),
+         {{C::AtomicOps, 1}}},
+        {"fpu_sync", opOf(OpKind::FpuSync, 5), 5, bd(&B::fpuSync, 5),
+         {{C::FpuSyncCycles, 5}}},
+        {"window_overflow", opOf(OpKind::WindowOverflowTrap), enter,
+         bd(&B::trapHardware, enter),
+         {{C::WindowOverflows, 1}, {C::WindowsSpilled, 1}}},
+        {"window_underflow", opOf(OpKind::WindowUnderflowTrap), enter,
+         bd(&B::trapHardware, enter), {{C::WindowUnderflows, 1}}},
+    };
+}
+
+TEST_F(PredecodeTest, PriceTableMatchesMachineDescLiterals)
+{
+    // The interpreter and the decoder share one price table, so their
+    // agreement (DecodedCounterBumpsMatchInterpreter) no longer checks
+    // the table itself. This does, against literals: cycles, cause
+    // and every counter bump of each op kind, through both paths.
+    for (MachineId id : {MachineId::R3000, MachineId::SPARC}) {
+        const MachineDesc m = makeMachine(id);
+        ExecModel exec(m);
+        std::set<OpKind> kinds;
+        for (const PriceCase &pc : priceCases(m)) {
+            SCOPED_TRACE(std::string(m.name) + "/" + pc.name);
+            kinds.insert(pc.op.kind);
+            InstrStream stream;
+            stream.push(pc.op);
+            CounterSet want;
+            want.set(HwCounter::InstrRetired, 1);
+            for (const auto &[c, n] : pc.counters)
+                want.set(c, n);
+
+            exec.reset();
+            CounterWindow interp_window;
+            PhaseResult interp = exec.runStream(stream);
+            EXPECT_EQ(interp.cycles, pc.cycles);
+            EXPECT_EQ(interp.instructions, 1u);
+            expectBreakdownEq(interp.breakdown, pc.breakdown);
+            EXPECT_EQ(interp_window.events(), want);
+
+            CounterWindow decoded_window;
+            DecodedProgram dec;
+            dec.phases.push_back(decodeStream(m, stream));
+            ExecResult decoded = exec.runDecoded(dec);
+            EXPECT_EQ(decoded.cycles, pc.cycles);
+            EXPECT_EQ(decoded.instructions, 1u);
+            expectBreakdownEq(decoded.breakdown, pc.breakdown);
+            EXPECT_EQ(decoded_window.events(), want);
+        }
+        EXPECT_EQ(kinds.size(),
+                  static_cast<std::size_t>(OpKind::WindowUnderflowTrap) +
+                      1);
     }
 }
 

@@ -43,7 +43,6 @@ class SamplingTest : public ::testing::Test
     void
     TearDown() override
     {
-        CounterSampler::instance().finish(0);
         HwCounters::instance().disable();
         HwCounters::instance().reset();
         Tracer::instance().disable();
@@ -76,27 +75,24 @@ TEST_F(SamplingTest, OffByDefaultAndTickIsANoOp)
     EXPECT_FALSE(s.active());
 
     // A default config (interval 0) opens no session either.
-    s.begin({});
+    CounterWindow window(true, SamplerConfig{});
     EXPECT_FALSE(s.active());
     s.tick(1'000'000);
-    s.finish(2'000'000);
-    EXPECT_TRUE(s.series().empty());
+    EXPECT_TRUE(window.finish(2'000'000).empty());
 }
 
 TEST_F(SamplingTest, SamplesAtIntervalBoundaries)
 {
-    HwCounters::instance().enable();
+    CounterWindow window(true, {100, 16});
     CounterSampler &s = CounterSampler::instance();
-    s.begin({100, 16});
     EXPECT_TRUE(s.active());
     for (Cycles now = 50; now <= 450; now += 50) {
         countEvent(HwCounter::TlbMisses);
         s.tick(now);
     }
-    s.finish(460);
+    const CounterTimeSeries ts = window.finish(460);
     EXPECT_FALSE(s.active());
 
-    const CounterTimeSeries &ts = s.series();
     // Due at 100, 200, 300, 400, plus the closing sample at 460.
     ASSERT_EQ(ts.samples.size(), 5u);
     EXPECT_EQ(ts.samples.front().cycle, 100u);
@@ -111,14 +107,12 @@ TEST_F(SamplingTest, SamplesAtIntervalBoundaries)
 
 TEST_F(SamplingTest, RingDropsOldestWhenFull)
 {
-    HwCounters::instance().enable();
+    CounterWindow window(true, {10, 4});
     CounterSampler &s = CounterSampler::instance();
-    s.begin({10, 4});
     for (Cycles now = 10; now <= 100; now += 10)
         s.tick(now);
-    s.finish(100);
+    const CounterTimeSeries ts = window.finish(100);
 
-    const CounterTimeSeries &ts = s.series();
     ASSERT_EQ(ts.samples.size(), 4u);
     EXPECT_EQ(ts.dropped, 6u);
     // The survivors are the newest samples, still oldest-first.
@@ -128,15 +122,13 @@ TEST_F(SamplingTest, RingDropsOldestWhenFull)
 
 TEST_F(SamplingTest, OverflowSurfacesDroppedSamplesInJson)
 {
-    HwCounters::instance().enable();
-    CounterSampler &s = CounterSampler::instance();
     // Capacity 4 with 10 due samples: the ring must overflow.
-    s.begin({10, 4});
+    CounterWindow window(true, {10, 4});
+    CounterSampler &s = CounterSampler::instance();
     for (Cycles now = 10; now <= 100; now += 10)
         s.tick(now);
-    s.finish(100);
 
-    Json j = s.series().toJson();
+    Json j = window.finish(100).toJson();
     ASSERT_TRUE(j.has("dropped_samples"));
     EXPECT_EQ(j.at("dropped_samples").asUint(), 6u);
     EXPECT_EQ(j.at("samples").asUint(), 4u);
@@ -144,17 +136,15 @@ TEST_F(SamplingTest, OverflowSurfacesDroppedSamplesInJson)
 
 TEST_F(SamplingTest, SeriesJsonShape)
 {
-    HwCounters::instance().enable();
+    CounterWindow window(true, {100, 16});
     CounterSampler &s = CounterSampler::instance();
-    s.begin({100, 16});
     for (Cycles now = 100; now <= 300; now += 100) {
         countEvent(HwCounter::TlbMisses, 5);
         countEvent(HwCounter::TlbRefillCycles, 60);
         s.tick(now, static_cast<double>(now) / 2);
     }
-    s.finish(300);
 
-    Json j = s.series().toJson();
+    Json j = window.finish(300).toJson();
     EXPECT_EQ(j.at("interval_cycles").asUint(), 100u);
     EXPECT_EQ(j.at("samples").asUint(), 3u);
     std::size_t n = j.at("cycles").size();
