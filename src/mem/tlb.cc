@@ -219,9 +219,9 @@ Tlb::lookupMiss(std::uint32_t empty_cell, bool kernel_space)
                                        kernel_space ? "tlb_miss_kernel"
                                                     : "tlb_miss_user",
                                        cost);
-            Tracer::instance().counter(
-                "tlb_misses",
-                HwCounters::instance().value(HwCounter::TlbMisses));
+            // The TLB's own miss stat, which counts with or without a
+            // counter window open.
+            Tracer::instance().counter("tlb_misses", *statMisses);
         }
     }
     return {false, 0, {}, cost, empty_cell};

@@ -28,6 +28,79 @@ kernelWindowCosts(const MachineDesc &machine)
     return c;
 }
 
+/**
+ * One batchable kernel op: its attribution, its Table-7 stat, its
+ * HwCounters and its cost. The per-event charge and the closed-form
+ * run of the op both read this row and nothing else.
+ */
+struct SimKernel::OpRow
+{
+    /** The profiler/span scope of a handler op, the leaf of a stream
+     *  op. */
+    const char *name;
+    /** A handler op's scope records (a Complete record is of `end`). */
+    ObsTrace trace;
+    TraceEvent begin;
+    TraceEvent end;
+    /** A stream op's Instant record of `begin` (arg: the instruction
+     *  count), or none. */
+    const char *instant;
+    std::uint64_t *SimKernel::*stat;
+    std::array<HwCounter, 2> events;
+    std::uint8_t eventCount;
+    /** The cost: the cached handler `prim`, charged phase by phase
+     *  under the scope — or, when `seq` is set, an emulation stream
+     *  charged as one leaf. */
+    Primitive prim;
+    EmulSeq SimKernel::*seq;
+};
+
+// clang-format off
+const SimKernel::OpRow SimKernel::opRows[kernelOpCount] = {
+    {.name = "syscall", .trace = ObsTrace::Complete,
+     .begin = TraceEvent::Syscall, .end = TraceEvent::Syscall,
+     .instant = nullptr, .stat = &SimKernel::statSyscalls,
+     .events = {HwCounter::KernelSyscalls}, .eventCount = 1,
+     .prim = Primitive::NullSyscall, .seq = nullptr},
+    {.name = "trap", .trace = ObsTrace::Pair,
+     .begin = TraceEvent::TrapEnter, .end = TraceEvent::TrapExit,
+     .instant = nullptr, .stat = &SimKernel::statTraps,
+     .events = {HwCounter::KernelTraps}, .eventCount = 1,
+     .prim = Primitive::Trap, .seq = nullptr},
+    {.name = "exception", .trace = ObsTrace::Complete,
+     .begin = TraceEvent::TrapEnter, .end = TraceEvent::TrapEnter,
+     .instant = nullptr, .stat = &SimKernel::statOtherExceptions,
+     .events = {HwCounter::KernelTraps}, .eventCount = 1,
+     .prim = Primitive::Trap, .seq = nullptr},
+    {.name = "thread_switch", .trace = ObsTrace::Complete,
+     .begin = TraceEvent::ThreadSwitch, .end = TraceEvent::ThreadSwitch,
+     .instant = nullptr, .stat = &SimKernel::statThreadSwitches,
+     .events = {HwCounter::ThreadSwitches}, .eventCount = 1,
+     .prim = Primitive::ContextSwitch, .seq = nullptr},
+    // A dedicated fast trap vector: hardware entry/exit plus a short
+    // interrupts-disabled test-and-set sequence (~80 cycles), much
+    // cheaper than the general trap path but far dearer than an
+    // atomic instruction would be.
+    {.name = "emulated_test_and_set", .trace = ObsTrace::None,
+     .begin = TraceEvent::Mark, .end = TraceEvent::Mark,
+     .instant = nullptr, .stat = &SimKernel::statEmulatedInstrs,
+     .events = {HwCounter::EmulatedInstrs, HwCounter::EmulatedTasOps},
+     .eventCount = 2, .prim = {}, .seq = &SimKernel::tasSeq},
+    // Each emulated instruction decodes and interprets in the kernel:
+    // a handful of cycles beyond the trap that delivered it.
+    {.name = "emulate_instr", .trace = ObsTrace::None,
+     .begin = TraceEvent::EmulatedInstr, .end = TraceEvent::Mark,
+     .instant = "emulate", .stat = &SimKernel::statEmulatedInstrs,
+     .events = {HwCounter::EmulatedInstrs}, .eventCount = 1,
+     .prim = {}, .seq = &SimKernel::emulStepSeq},
+    {.name = "pte_change", .trace = ObsTrace::None,
+     .begin = TraceEvent::Mark, .end = TraceEvent::Mark,
+     .instant = nullptr, .stat = &SimKernel::statPteChanges,
+     .events = {HwCounter::PteChanges}, .eventCount = 1,
+     .prim = Primitive::PteChange, .seq = nullptr},
+};
+// clang-format on
+
 SimKernel::SimKernel(const MachineDesc &machine)
     : desc(machine), costs(sharedCostDb()), refExec(machine),
       tlbModel(machine.tlb), cacheModel(machine.cache)
@@ -43,20 +116,21 @@ SimKernel::SimKernel(const MachineDesc &machine)
     statUserTlbMisses = &counters.handle(kstat::userTlbMisses);
     statOtherExceptions = &counters.handle(kstat::otherExceptions);
     statPteChanges = &counters.handle(kstat::pteChanges);
-    tasSeq.trapEnter(/*counts_as_instr=*/false)
-        .microcoded(emulatedTasSequenceCycles)
-        .trapReturn();
     // No memory ops, so the whole fast-trap sequence decodes to one
     // constant: trap entry + return hardware plus the t&s microcode.
-    tasCycles = decodeStream(desc, tasSeq).tailCycles;
+    tasSeq.stream.trapEnter(/*counts_as_instr=*/false)
+        .microcoded(emulatedTasSequenceCycles)
+        .trapReturn();
+    tasSeq.cycles = decodeStream(desc, tasSeq.stream).tailCycles;
     if (desc.tlb.management == TlbManagement::Software) {
         swRefillUserSeq = tlbRefillSeq(desc, false);
         swRefillKernelSeq = tlbRefillSeq(desc, true);
         hasSwRefill = true;
     }
     // One ALU op per cycle of per-instruction emulation work, so the
-    // stream's interpreted total equals n * emulatedInstrCycles.
-    emulStepSeq.alu(emulatedInstrCycles);
+    // stream decodes to emulatedInstrCycles.
+    emulStepSeq.stream.alu(emulatedInstrCycles);
+    emulStepSeq.cycles = decodeStream(desc, emulStepSeq.stream).tailCycles;
     // Space 0 is the kernel itself; its working set models the mapped
     // kernel data (page tables and the like) that still needs TLB
     // entries even when kernel *code* runs unmapped (s5).
@@ -93,7 +167,7 @@ void
 SimKernel::chargePrimitive(Primitive p)
 {
     const PrimitiveCost &pc = *primCost[static_cast<std::size_t>(p)];
-    if (!predecodeEnabled() && !tracerEnabled()) {
+    if (interpreting()) {
         // Reference mode: re-interpret the handler program op by op
         // for every kernel event instead of charging the cached
         // superblock totals. The execution is deterministic (the
@@ -118,172 +192,121 @@ SimKernel::chargePrimitive(Primitive p)
 }
 
 bool
+SimKernel::interpreting() const
+{
+    return !predecodeEnabled() && !tracerEnabled();
+}
+
+bool
 SimKernel::batchActive() const
 {
     return batchEnabled() && predecodeEnabled() &&
            batchObserversIdle();
 }
 
-template <class Step>
-bool
-SimKernel::steppedRun(std::uint64_t n, bool sample_each, Step step)
+void
+SimKernel::count(const OpRow &row, std::uint64_t n)
 {
-    if (n != 0 && batchActive())
-        return false;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        step();
-        if (sample_each)
-            CounterSampler::instance().tick(
-                cycleCount, static_cast<double>(primCycles));
-    }
-    return true;
+    *(this->*row.stat) += n;
+    for (std::uint8_t i = 0; i < row.eventCount; ++i)
+        countEvent(row.events[i], n);
 }
 
 void
-SimKernel::chargeRun(std::uint64_t *stat,
-                     std::initializer_list<HwCounter> events,
-                     Cycles each, std::uint64_t n, bool sample_each)
+SimKernel::chargeEvent(KernelOp op, std::uint64_t n)
 {
+    chargeEvent(op, n, [] {});
+}
+
+template <class Inside>
+void
+SimKernel::chargeEvent(KernelOp op, std::uint64_t n, Inside inside)
+{
+    const OpRow &row = opRows[static_cast<std::size_t>(op)];
+    if (!row.seq) {
+        ObsScope obs(row.name, cycleCount, row.trace, row.begin,
+                     row.end);
+        count(row, 1);
+        chargePrimitive(row.prim);
+        inside();
+        return;
+    }
+    count(row, n);
+    if (row.instant && tracerEnabled())
+        Tracer::instance().recordAt(cycleCount, row.begin,
+                                    TracePhase::Instant, row.instant, n);
+    const EmulSeq &seq = this->*row.seq;
+    Cycles c;
+    if (interpreting()) {
+        // Interpreter reference path: re-run the stream per emulated
+        // instruction. Its total is the decoded constant by
+        // construction, and its micro-events are already folded into
+        // that constant (the leaf below is its attribution), so they
+        // must not leak into the workload window's counters.
+        ObsPause cpause(obsdetail::counters);
+        c = 0;
+        for (std::uint64_t i = 0; i < n; ++i)
+            c += refExec.runStream(seq.stream).cycles;
+    } else {
+        c = n * seq.cycles;
+    }
+    cycleCount += c;
+    primCycles += c;
+    obsLeaf(row.name, c);
+}
+
+void
+SimKernel::charge(KernelOp op, std::uint64_t n, bool sample_each)
+{
+    if (n == 0 || !batchActive()) {
+        for (std::uint64_t i = 0; i < n; ++i) {
+            chargeEvent(op);
+            if (sample_each)
+                CounterSampler::instance().tick(
+                    cycleCount, static_cast<double>(primCycles));
+        }
+        return;
+    }
+    // Closed form: the row's attribution under a scope entered n
+    // times (or n leaves), then n events' stat, counters and cycles,
+    // plus the sampler boundaries the per-event loop would cross.
+    const OpRow &row = opRows[static_cast<std::size_t>(op)];
+    Cycles each;
+    if (row.seq) {
+        each = (this->*row.seq).cycles;
+        obsLeafRepeated(row.name, each, n);
+    } else {
+        const PrimitiveCost &pc =
+            *primCost[static_cast<std::size_t>(row.prim)];
+        each = pc.cycles;
+        obsPhasesRepeated(row.name, pc.detail.phases, n);
+    }
     const Cycles start = cycleCount;
     const Cycles prim_start = primCycles;
-    *stat += n;
-    for (HwCounter event : events)
-        countEvent(event, n);
+    count(row, n);
     cycleCount += each * n;
     primCycles += each * n;
     if (sample_each) {
         CounterSet per;
-        for (HwCounter event : events)
-            per.set(event, 1);
+        for (std::uint8_t i = 0; i < row.eventCount; ++i)
+            per.set(row.events[i], 1);
         CounterSampler::instance().tickRun(start, each, n, per,
                                            prim_start, each);
     }
 }
 
 void
-SimKernel::batchScopedPrimitive(const char *scope, Primitive p,
-                                std::uint64_t *stat, HwCounter event,
-                                std::uint64_t n, bool sample_each)
-{
-    const PrimitiveCost &pc = *primCost[static_cast<std::size_t>(p)];
-    obsPhasesRepeated(scope, pc.detail.phases, n);
-    chargeRun(stat, {event}, pc.cycles, n, sample_each);
-}
-
-void
-SimKernel::syscallBatch(std::uint64_t n, bool sample_each)
-{
-    if (steppedRun(n, sample_each, [this] { syscall(); }))
-        return;
-    batchScopedPrimitive("syscall", Primitive::NullSyscall,
-                         statSyscalls, HwCounter::KernelSyscalls, n,
-                         sample_each);
-}
-
-void
-SimKernel::trapBatch(std::uint64_t n, bool sample_each)
-{
-    if (steppedRun(n, sample_each, [this] { trap(); }))
-        return;
-    batchScopedPrimitive("trap", Primitive::Trap, statTraps,
-                         HwCounter::KernelTraps, n, sample_each);
-}
-
-void
-SimKernel::otherExceptionBatch(std::uint64_t n, bool sample_each)
-{
-    if (steppedRun(n, sample_each, [this] { otherException(); }))
-        return;
-    batchScopedPrimitive("exception", Primitive::Trap,
-                         statOtherExceptions, HwCounter::KernelTraps,
-                         n, sample_each);
-}
-
-void
-SimKernel::threadSwitchBatch(std::uint64_t n, bool sample_each)
-{
-    if (steppedRun(n, sample_each, [this] { threadSwitch(); }))
-        return;
-    batchScopedPrimitive("thread_switch", Primitive::ContextSwitch,
-                         statThreadSwitches,
-                         HwCounter::ThreadSwitches, n, sample_each);
-}
-
-void
-SimKernel::emulateTestAndSetBatch(std::uint64_t n, bool sample_each)
-{
-    if (steppedRun(n, sample_each, [this] { emulateTestAndSet(); }))
-        return;
-    obsLeafRepeated("emulated_test_and_set", tasCycles, n);
-    chargeRun(statEmulatedInstrs,
-              {HwCounter::EmulatedInstrs, HwCounter::EmulatedTasOps},
-              tasCycles, n, sample_each);
-}
-
-void
-SimKernel::emulateSingleInstructionsBatch(std::uint64_t n,
-                                          bool sample_each)
-{
-    if (steppedRun(n, sample_each, [this] { emulateInstructions(1); }))
-        return;
-    obsLeafRepeated("emulate_instr", emulatedInstrCycles, n);
-    chargeRun(statEmulatedInstrs, {HwCounter::EmulatedInstrs},
-              emulatedInstrCycles, n, sample_each);
-}
-
-void
-SimKernel::pteChangeBatch(AddressSpace &space,
-                          const std::vector<Vpn> &vpns, PageProt prot)
-{
-    if (vpns.empty())
-        return;
-    if (!batchActive()) {
-        for (Vpn vpn : vpns)
-            pteChange(space, vpn, prot);
-        return;
-    }
-    batchScopedPrimitive("pte_change", Primitive::PteChange,
-                         statPteChanges, HwCounter::PteChanges,
-                         vpns.size(), false);
-    // Stepped state edits at the batch boundary: each page's PTE,
-    // TLB shootdown and (virtually-indexed) cache flush. These only
-    // mutate state and bump their own counters — no cycles, no
-    // attribution — so running them after the aggregate charge
-    // leaves every observable total equal to the interleaved loop's.
-    for (Vpn vpn : vpns) {
-        space.pageTable().protect(vpn, prot);
-        tlbModel.invalidate(vpn, space.asid());
-        if (desc.cache.indexing == CacheIndexing::Virtual)
-            cacheModel.flushPage(vpn << pageShift, space.asid());
-    }
-}
-
-void
-SimKernel::syscall()
-{
-    ObsScope obs("syscall", cycleCount, TraceEvent::Syscall);
-    ++*statSyscalls;
-    countEvent(HwCounter::KernelSyscalls);
-    chargePrimitive(Primitive::NullSyscall);
-}
-
-void
-SimKernel::trap()
-{
-    ObsScope obs("trap", cycleCount, TraceEvent::TrapEnter,
-                 TraceEvent::TrapExit);
-    ++*statTraps;
-    countEvent(HwCounter::KernelTraps);
-    chargePrimitive(Primitive::Trap);
-}
-
-void
 SimKernel::pteChange(AddressSpace &space, Vpn vpn, PageProt prot)
 {
-    ObsScope obs("pte_change", cycleCount);
-    ++*statPteChanges;
-    countEvent(HwCounter::PteChanges);
-    chargePrimitive(Primitive::PteChange);
+    // The edits run inside the op's scope, so an open span counts the
+    // shootdown and the flush they cause.
+    chargeEvent(KernelOp::PteChange, 1,
+                [&] { protectPage(space, vpn, prot); });
+}
+
+void
+SimKernel::protectPage(AddressSpace &space, Vpn vpn, PageProt prot)
+{
     space.pageTable().protect(vpn, prot);
     tlbModel.invalidate(vpn, space.asid());
     // Virtually-addressed caches must also drop the page's lines; the
@@ -299,7 +322,7 @@ SimKernel::contextSwitchTo(AddressSpace &target)
     AddressSpace &from = currentSpace();
     if (&target == &from)
         return;
-    ObsScope obs("context_switch", cycleCount,
+    ObsScope obs("context_switch", cycleCount, ObsTrace::Pair,
                  TraceEvent::ContextSwitch, TraceEvent::ContextSwitch);
     ++*statAddrSpaceSwitches;
     countEvent(HwCounter::ContextSwitches);
@@ -333,79 +356,6 @@ SimKernel::contextSwitchTo(AddressSpace &target)
         }
     }
     panic("switch to a space this kernel does not own");
-}
-
-void
-SimKernel::threadSwitch()
-{
-    ObsScope obs("thread_switch", cycleCount, TraceEvent::ThreadSwitch);
-    ++*statThreadSwitches;
-    countEvent(HwCounter::ThreadSwitches);
-    chargePrimitive(Primitive::ContextSwitch);
-}
-
-void
-SimKernel::emulateInstructions(std::uint64_t n)
-{
-    *statEmulatedInstrs += n;
-    countEvent(HwCounter::EmulatedInstrs, n);
-    // Each emulated instruction decodes and interprets in the kernel:
-    // a handful of cycles beyond the trap that delivered it.
-    if (tracerEnabled())
-        Tracer::instance().recordAt(cycleCount,
-                                    TraceEvent::EmulatedInstr,
-                                    TracePhase::Instant, "emulate", n);
-    Cycles c;
-    if (!predecodeEnabled() && !tracerEnabled()) {
-        // Interpreter reference path: decode and dispatch each
-        // emulated instruction individually. The stream's total is
-        // emulatedInstrCycles by construction, so the charge is
-        // identical to the folded fast-path constant below.
-        ObsPause cpause(obsdetail::counters);
-        c = 0;
-        for (std::uint64_t i = 0; i < n; ++i)
-            c += refExec.runStream(emulStepSeq).cycles;
-    } else {
-        c = n * emulatedInstrCycles;
-    }
-    cycleCount += c;
-    primCycles += c;
-    obsLeaf("emulate_instr", c);
-}
-
-void
-SimKernel::emulateTestAndSet()
-{
-    ++*statEmulatedInstrs;
-    countEvent(HwCounter::EmulatedInstrs);
-    countEvent(HwCounter::EmulatedTasOps);
-    // A dedicated fast trap vector: hardware entry/exit plus a short
-    // interrupts-disabled test-and-set sequence (~80 cycles), much
-    // cheaper than the general trap path but far dearer than an
-    // atomic instruction would be. With predecode on, the sequence's
-    // cycle total was computed once at construction; the interpreter
-    // fallback re-runs the fast-trap stream per event, with its
-    // micro-events suppressed (they are already folded into the
-    // constant; the leaf below is its attribution).
-    Cycles c;
-    if (!predecodeEnabled() && !tracerEnabled()) {
-        ObsPause cpause(obsdetail::counters);
-        c = refExec.runStream(tasSeq).cycles;
-    } else {
-        c = tasCycles;
-    }
-    cycleCount += c;
-    primCycles += c;
-    obsLeaf("emulated_test_and_set", c);
-}
-
-void
-SimKernel::otherException()
-{
-    ObsScope obs("exception", cycleCount, TraceEvent::TrapEnter);
-    ++*statOtherExceptions;
-    countEvent(HwCounter::KernelTraps);
-    chargePrimitive(Primitive::Trap);
 }
 
 Cycles
@@ -444,8 +394,7 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
     const std::uint64_t hits_before = tlbModel.hits();
     // Loop-invariant: whether misses charge the interpreted refill
     // handler (reference mode) or the lookup's modeled constant.
-    const bool interp_refill =
-        hasSwRefill && !predecodeEnabled() && !tracing;
+    const bool interp_refill = hasSwRefill && interpreting();
     for (Vpn vpn : pages) {
         TlbLookup r = tlbModel.lookup(vpn, asid, kernel_space, false);
         if (!r.hit) {
@@ -507,15 +456,6 @@ void
 SimKernel::touchWorkingSet()
 {
     touchPages(currentSpace().workingSet(), false);
-}
-
-void
-SimKernel::chargeMicros(double us)
-{
-    Cycles c = desc.clock.microsToCycles(us);
-    cycleCount += c;
-    if (profilerEnabled())
-        Profiler::instance().addCycles(c);
 }
 
 void

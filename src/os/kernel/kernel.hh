@@ -15,7 +15,6 @@
 #define AOSD_OS_KERNEL_KERNEL_HH
 
 #include <array>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,6 +44,22 @@ inline constexpr const char *userTlbMisses = "user_tlb_misses";
 inline constexpr const char *otherExceptions = "other_exceptions";
 inline constexpr const char *pteChanges = "pte_changes";
 } // namespace kstat
+
+/** The batchable kernel primitives, one row each of SimKernel's op
+ *  table. The order is part of replayEventMix's seeded draw. */
+enum class KernelOp : std::uint8_t
+{
+    Syscall,
+    Trap,
+    OtherException,
+    ThreadSwitch,
+    EmulatedTas,
+    /** One emulated instruction (emulateInstructions(1)). */
+    EmulatedInstr,
+    PteChange
+};
+inline constexpr std::size_t kernelOpCount =
+    static_cast<std::size_t>(KernelOp::PteChange) + 1;
 
 /** Interrupts-disabled test-and-set sequence of the kernel's emulated
  *  test&set fast trap, beyond the trap entry/exit hardware cost. */
@@ -76,70 +91,61 @@ class SimKernel
     AddressSpace &kernelSpace() { return *spaces.front(); }
 
     // ---- primitive operations (charge + count) --------------------
+    /** Charge `n` back-to-back events of `op` (its per-event name
+     *  below, n times). While batchActive() the whole run is charged
+     *  in one closed-form update — cycles, stat and HwCounters as the
+     *  per-event constants × n, profiler entries/self-cycles/
+     *  histograms via the repeated attribution hooks, sampler
+     *  boundaries via CounterSampler::tickRun — byte-identical to the
+     *  per-event loop in every JSON document. Otherwise (--no-batch /
+     *  AOSD_NO_BATCH, the reference interpreter mode, the tracer on,
+     *  or an open span-traced request) it runs that loop.
+     *  `sample_each` reproduces the workload drivers'
+     *    CounterSampler::tick(elapsedCycles(), primitiveCycles())
+     *  after every event. A PteChange run charges only: its callers
+     *  apply the page edits with protectPage, which commute with the
+     *  charges. */
+    void charge(KernelOp op, std::uint64_t n = 1,
+                bool sample_each = false);
+
     /** Null system call overhead (kernel entry + call prep + C call). */
-    void syscall();
+    void syscall() { chargeEvent(KernelOp::Syscall); }
 
     /** A trap/fault/interrupt through the common machinery. */
-    void trap();
+    void trap() { chargeEvent(KernelOp::Trap); }
+
+    /** An interrupt or page fault ("other exceptions" in Table 7). */
+    void otherException() { chargeEvent(KernelOp::OtherException); }
+
+    /** Kernel-thread switch within the current space (no mapping
+     *  change; counted separately, cf. Table 7 footnote). */
+    void threadSwitch() { chargeEvent(KernelOp::ThreadSwitch); }
+
+    /** Fast-path kernel emulation of one interlocked test&set: a
+     *  minimal trap that disables interrupts, tests and sets (§4.1:
+     *  parthenon spends ~1/5 of its time synchronizing this way). */
+    void emulateTestAndSet() { chargeEvent(KernelOp::EmulatedTas); }
+
+    /** The kernel emulates `n` instructions on behalf of user code
+     *  (e.g. test&set on the MIPS, §4.1/§5) — one attribution event
+     *  for all n, unlike charge(KernelOp::EmulatedInstr, n). */
+    void
+    emulateInstructions(std::uint64_t n)
+    {
+        chargeEvent(KernelOp::EmulatedInstr, n);
+    }
 
     /** Change one PTE and keep TLB/virtual cache consistent. */
     void pteChange(AddressSpace &space, Vpn vpn, PageProt prot);
+
+    /** The state edits of pteChange alone, without its charge: the
+     *  PTE protection, the TLB shootdown and the virtual-cache flush. */
+    void protectPage(AddressSpace &space, Vpn vpn, PageProt prot);
 
     /** Full address-space context switch, including the hardware costs
      *  of the mapping change and any untagged-TLB/cache purges, plus
      *  the TLB refill of the target's working set. */
     void contextSwitchTo(AddressSpace &target);
-
-    /** Kernel-thread switch within the current space (no mapping
-     *  change; counted separately, cf. Table 7 footnote). */
-    void threadSwitch();
-
-    /** The kernel emulates `n` instructions on behalf of user code
-     *  (e.g. test&set on the MIPS, §4.1/§5). */
-    void emulateInstructions(std::uint64_t n);
-
-    /** Fast-path kernel emulation of one interlocked test&set: a
-     *  minimal trap that disables interrupts, tests and sets (§4.1:
-     *  parthenon spends ~1/5 of its time synchronizing this way). */
-    void emulateTestAndSet();
-
-    /** An interrupt or page fault ("other exceptions" in Table 7). */
-    void otherException();
-
-    // ---- batched primitive operations -----------------------------
-    // Each *Batch(n) charges `n` back-to-back invocations of its
-    // per-event counterpart in one closed-form update: cycles and
-    // HwCounters as the decoded per-event constants × n, profiler
-    // entries/self-cycles/histograms via the sampleN batch updates,
-    // sampler boundaries via CounterSampler::tickRun — byte-identical
-    // to the per-event loop in every JSON document. Whenever batching
-    // cannot apply (--no-batch / AOSD_NO_BATCH, the reference
-    // interpreter mode, the tracer on, or an open span-traced
-    // request), they fall back to that per-event loop.
-    // `sample_each` reproduces the workload drivers' per-event
-    //   CounterSampler::tick(elapsedCycles(), primitiveCycles())
-    // after every event.
-
-    void syscallBatch(std::uint64_t n, bool sample_each = false);
-    void trapBatch(std::uint64_t n, bool sample_each = false);
-    void otherExceptionBatch(std::uint64_t n,
-                             bool sample_each = false);
-    void threadSwitchBatch(std::uint64_t n, bool sample_each = false);
-    void emulateTestAndSetBatch(std::uint64_t n,
-                                bool sample_each = false);
-
-    /** n × emulateInstructions(1) — one per-instruction histogram
-     *  sample each, *not* emulateInstructions(n), which folds the
-     *  whole run into a single attribution event. */
-    void emulateSingleInstructionsBatch(std::uint64_t n,
-                                        bool sample_each = false);
-
-    /** Batch-charge one pteChange per VPN, then step the per-page
-     *  state edits (PTE protection, TLB shootdown, virtual-cache
-     *  flush) at the batch boundary. The state ops commute with the
-     *  charges, so results equal the per-event loop's exactly. */
-    void pteChangeBatch(AddressSpace &space,
-                        const std::vector<Vpn> &vpns, PageProt prot);
 
     /** Batching applies right now: the toggle is on, the pre-decoded
      *  fast path is active, and no per-event observer (tracer, open
@@ -168,7 +174,11 @@ class SimKernel
         if (profilerEnabled())
             Profiler::instance().addCycles(c);
     }
-    void chargeMicros(double us);
+    void
+    chargeMicros(double us)
+    {
+        chargeCycles(desc.clock.microsToCycles(us));
+    }
 
     /** Run user code for `instructions` at ~1 instruction/cycle scaled
      *  by the machine's application performance. */
@@ -192,26 +202,24 @@ class SimKernel
     void resetAccounting();
 
   private:
+    /** One row of the kernel-op table (kernel.cc). */
+    struct OpRow;
+    static const OpRow opRows[kernelOpCount];
+
+    /** One attribution event of `op`: n = 1 except for
+     *  emulateInstructions, whose n instructions share one leaf. */
+    void chargeEvent(KernelOp op, std::uint64_t n = 1);
+    /** ...running `inside` within the event's scope (pteChange's page
+     *  edits, so an open span sees the shootdown and flush they
+     *  count). */
+    template <class Inside>
+    void chargeEvent(KernelOp op, std::uint64_t n, Inside inside);
+    /** Bump `row`'s stat and counters for n events. */
+    void count(const OpRow &row, std::uint64_t n);
     void chargePrimitive(Primitive p);
-    /** The per-event fallback of the *Batch ops: unless batching
-     *  applies (n > 0 and batchActive()), run `step` n times, ticking
-     *  the sampler after each when `sample_each`, and return true.
-     *  False means the caller charges the run in closed form. */
-    template <class Step>
-    bool steppedRun(std::uint64_t n, bool sample_each, Step step);
-    /** The closed-form charge every batch op ends in: n events of
-     *  `each` cycles, each bumping `stat` and every counter in
-     *  `events` once, plus the sampler boundaries the per-event loop
-     *  would have crossed when `sample_each`. */
-    void chargeRun(std::uint64_t *stat,
-                   std::initializer_list<HwCounter> events, Cycles each,
-                   std::uint64_t n, bool sample_each);
-    /** Closed-form run of n scoped primitives (syscall, trap,
-     *  exception, thread switch, pte change): the cached phases'
-     *  attribution under a scope entered n times, then chargeRun. */
-    void batchScopedPrimitive(const char *scope, Primitive p,
-                              std::uint64_t *stat, HwCounter event,
-                              std::uint64_t n, bool sample_each);
+    /** Predecode off and no tracer: re-interpret handlers and streams
+     *  per event instead of charging their decoded constants. */
+    bool interpreting() const;
     /** Re-interpret the software refill handler for one TLB miss
      *  (predecode-off reference path); its total equals the modeled
      *  constant the fast path charges, by construction. */
@@ -227,12 +235,17 @@ class SimKernel
      *  re-interprets the handler program on every kernel event instead
      *  of charging the cached superblock totals. */
     ExecModel refExec;
-    /** The emulated test&set fast-trap sequence (trap entry, the
-     *  interrupts-disabled test-and-set microcode, trap return) and
-     *  its pre-decoded cycle total. The interpreter fallback re-runs
-     *  the stream per event; the fast path charges the constant. */
-    InstrStream tasSeq;
-    Cycles tasCycles = 0;
+    /** A kernel-emulation stream and its pre-decoded cycle total. The
+     *  interpreter fallback re-runs the stream per event; the fast
+     *  path charges the constant. */
+    struct EmulSeq
+    {
+        InstrStream stream;
+        Cycles cycles = 0;
+    };
+    /** The emulated test&set fast-trap sequence: trap entry, the
+     *  interrupts-disabled test-and-set microcode, trap return. */
+    EmulSeq tasSeq;
     /** Software TLB-refill handler streams (built only when the TLB is
      *  software-managed). Their cycle totals equal the machine's
      *  swUser/swKernelMissCycles by construction, so the interpreter
@@ -242,10 +255,8 @@ class SimKernel
     InstrStream swRefillKernelSeq;
     bool hasSwRefill = false;
     /** The decode-and-dispatch work of emulating one user instruction
-     *  in the kernel (emulatedInstrCycles of ALU work). The
-     *  interpreter fallback re-runs this stream once per emulated
-     *  instruction; the fast path charges n times the constant. */
-    InstrStream emulStepSeq;
+     *  in the kernel (emulatedInstrCycles of ALU work). */
+    EmulSeq emulStepSeq;
     Tlb tlbModel;
     Cache cacheModel;
     StatGroup counters{"kernel"};

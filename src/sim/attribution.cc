@@ -62,7 +62,7 @@ causes(const ObsLeaf &leaf, std::span<const ObsLeaf> causes,
 } // namespace obsdetail
 
 void
-ObsScope::enter(const char *name, const Cycles &clock, Trace trace,
+ObsScope::enter(const char *name, const Cycles &clock, ObsTrace trace,
                 TraceEvent begin, TraceEvent end)
 {
     if (profilerEnabled())
@@ -73,14 +73,14 @@ ObsScope::enter(const char *name, const Cycles &clock, Trace trace,
         span_ = spans.push(name, clock);
         clock_ = &clock;
     }
-    if (trace == Trace::None || !tracerEnabled())
+    if (trace == ObsTrace::None || !tracerEnabled())
         return;
     clock_ = &clock;
     name_ = name;
     start_ = clock;
     end_ = end;
     trace_ = trace;
-    if (trace == Trace::Pair)
+    if (trace == ObsTrace::Pair)
         Tracer::instance().recordAt(start_, begin, TracePhase::Begin,
                                     name);
 }
@@ -88,10 +88,10 @@ ObsScope::enter(const char *name, const Cycles &clock, Trace trace,
 void
 ObsScope::leave()
 {
-    if (trace_ == Trace::Pair)
+    if (trace_ == ObsTrace::Pair)
         Tracer::instance().recordAt(*clock_, end_, TracePhase::End,
                                     name_);
-    else if (trace_ == Trace::Complete)
+    else if (trace_ == ObsTrace::Complete)
         Tracer::instance().complete(start_, *clock_ - start_, end_,
                                     name_);
     if (span_)

@@ -102,6 +102,15 @@ obsLeafRepeated(const char *name, Cycles each, std::uint64_t n)
         Profiler::instance().addLeafCyclesRepeated(name, each, n);
 }
 
+/** The trace records of an ObsScope: none, one Complete record
+ *  spanning it, or a Begin/End pair. */
+enum class ObsTrace : std::uint8_t
+{
+    None,
+    Complete,
+    Pair
+};
+
 /**
  * RAII primitive scope: for its lifetime, a profiler scope and a span
  * named `name` over the charges to `clock` (the owner's cycle
@@ -111,27 +120,16 @@ obsLeafRepeated(const char *name, Cycles each, std::uint64_t n)
 class ObsScope
 {
   public:
-    ObsScope(const char *name, const Cycles &clock)
+    /** `trace` adds a Complete record of `end` spanning the scope, or
+     *  a Begin record of `begin` at entry and an End record of `end`
+     *  at exit. */
+    ObsScope(const char *name, const Cycles &clock,
+             ObsTrace trace = ObsTrace::None,
+             TraceEvent begin = TraceEvent::Mark,
+             TraceEvent end = TraceEvent::Mark)
     {
         if (attributionEnabled())
-            enter(name, clock, Trace::None, TraceEvent::Mark,
-                  TraceEvent::Mark);
-    }
-
-    /** ...plus one Complete record of `event` spanning the scope. */
-    ObsScope(const char *name, const Cycles &clock, TraceEvent event)
-    {
-        if (attributionEnabled())
-            enter(name, clock, Trace::Complete, event, event);
-    }
-
-    /** ...plus a Begin record of `begin` at entry and an End record
-     *  of `end` at exit. */
-    ObsScope(const char *name, const Cycles &clock, TraceEvent begin,
-             TraceEvent end)
-    {
-        if (attributionEnabled())
-            enter(name, clock, Trace::Pair, begin, end);
+            enter(name, clock, trace, begin, end);
     }
 
     ~ObsScope()
@@ -144,15 +142,8 @@ class ObsScope
     ObsScope &operator=(const ObsScope &) = delete;
 
   private:
-    enum class Trace : std::uint8_t
-    {
-        None,
-        Complete,
-        Pair
-    };
-
     // Out of line, so a disabled scope inlines to the flag test.
-    void enter(const char *name, const Cycles &clock, Trace trace,
+    void enter(const char *name, const Cycles &clock, ObsTrace trace,
                TraceEvent begin, TraceEvent end);
     void leave();
 
@@ -164,7 +155,7 @@ class ObsScope
     std::uint64_t spanGen_ = 0;
     Cycles start_ = 0;
     TraceEvent end_ = TraceEvent::Mark;
-    Trace trace_ = Trace::None;
+    ObsTrace trace_ = ObsTrace::None;
 };
 
 /**

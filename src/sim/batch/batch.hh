@@ -12,15 +12,17 @@
  * can be charged in closed form: cycles and counters as constant × n,
  * profiler entries/self-cycles/histograms via the sampleN batch
  * updates (sim/profile), and sampler boundaries via
- * CounterSampler::tickRun (sim/sampling). Stateful operations
- * (context switches that purge TLB/cache state, software TLB refills,
- * PTE state edits) are still stepped, so every JSON document stays
- * byte-identical to the per-event path.
+ * CounterSampler::tickRun (sim/sampling). SimKernel::charge(op, n)
+ * is the one entry point, over the kernel's op table
+ * (os/kernel/kernel.cc). Stateful operations (context switches that
+ * purge TLB/cache state, software TLB refills, PTE state edits) are
+ * still stepped, so every JSON document stays byte-identical to the
+ * per-event path.
  *
  * The toggle mirrors the predecode pair (cpu/decoded_program.hh):
- * runtime setBatchEnabled(false) / tools' --no-batch flag, and the
- * AOSD_NO_BATCH environment variable for harnesses that cannot pass a
- * flag (google-benchmark's main).
+ * the AOSD_NO_BATCH environment variable, which every tool and test
+ * process honours, runtime setBatchEnabled(false), and aosd_traffic's
+ * --no-batch flag.
  */
 
 #ifndef AOSD_SIM_BATCH_BATCH_HH

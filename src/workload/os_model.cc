@@ -147,7 +147,7 @@ MachSystem::run(const AppProfile &app)
             for (emul25_acc += emul25_per; emul25_acc >= 1;
                  emul25_acc -= 1)
                 ++emul25_n;
-            kernel.emulateSingleInstructionsBatch(emul25_n);
+            kernel.charge(KernelOp::EmulatedInstr, emul25_n);
         } else {
             serviceCallSmallKernel(kernel, app_space, unix_server,
                                    cache_mgr, app, rng);
@@ -159,7 +159,7 @@ MachSystem::run(const AppProfile &app)
         std::uint64_t faults_n = 0;
         for (faults_acc += faults_per; faults_acc >= 1; faults_acc -= 1)
             ++faults_n;
-        kernel.otherExceptionBatch(faults_n);
+        kernel.charge(KernelOp::OtherException, faults_n);
         // Interrupt handling interleaves a stateful kernel-pool touch
         // (TLB content, rng draws) per event, so it stays stepped.
         for (ints_acc += ints_per; ints_acc >= 1; ints_acc -= 1) {
@@ -169,12 +169,12 @@ MachSystem::run(const AppProfile &app)
         std::uint64_t intra_n = 0;
         for (intra_acc += intra_per; intra_acc >= 1; intra_acc -= 1)
             ++intra_n;
-        kernel.threadSwitchBatch(intra_n);
+        kernel.charge(KernelOp::ThreadSwitch, intra_n);
         std::uint64_t locks_n = 0;
         for (locks_acc += locks_per; locks_acc >= 1; locks_acc -= 1)
             ++locks_n;
         if (needs_tas_emulation)
-            kernel.emulateTestAndSetBatch(locks_n);
+            kernel.charge(KernelOp::EmulatedTas, locks_n);
         else if (locks_n)
             // addCycles has no per-event observable (no entry count,
             // no histogram), so one aggregate charge is exact.
@@ -193,7 +193,8 @@ MachSystem::run(const AppProfile &app)
     // sample_each: the per-event loop ticked the sampler after every
     // clock interrupt; the batched charge reproduces each crossed
     // interval boundary via CounterSampler::tickRun.
-    kernel.otherExceptionBatch(clock_ints, /*sample_each=*/true);
+    kernel.charge(KernelOp::OtherException, clock_ints,
+                  /*sample_each=*/true);
     auto resched = static_cast<std::uint64_t>(
         elapsed * cfg.quantumSwitchesPerSecond / 2.0);
     for (std::uint64_t i = 0; i < resched; ++i) {

@@ -136,33 +136,43 @@ diurnalFactor(double x)
     return x <= 0.5 ? 0.5 + 2.0 * x : 2.5 - 2.0 * x;
 }
 
-/** Issue one request's primitive mix through the batched kernel entry
- *  points. `pte_cursor` round-robins the mapped PTE range. */
+/** The page edits of a run of `n` PTE changes over the mapped PTE
+ *  range, round-robin from `cursor`. They only mutate state, so
+ *  applying them after the run's charge leaves every total of the
+ *  interleaved per-event loop. */
+void
+protectPages(SimKernel &kernel, AddressSpace &space, std::uint64_t n,
+             std::uint64_t &cursor)
+{
+    PageProt prot;
+    prot.writable = ((cursor + n) & 1) != 0;
+    for (std::uint64_t i = 0; i < n; ++i)
+        kernel.protectPage(space,
+                           trafficPteBase + cursor++ % trafficPtePages,
+                           prot);
+}
+
+/** Issue one request's primitive mix through the kernel's batched
+ *  charge. `pte_cursor` round-robins the mapped PTE range. */
 void
 issueRequest(SimKernel &kernel, AddressSpace &space,
-             const RequestClass &c, std::vector<Vpn> &vpn_scratch,
-             std::uint64_t &pte_cursor)
+             const RequestClass &c, std::uint64_t &pte_cursor)
 {
     if (c.syscalls)
-        kernel.syscallBatch(c.syscalls);
+        kernel.charge(KernelOp::Syscall, c.syscalls);
     if (c.traps)
-        kernel.trapBatch(c.traps);
+        kernel.charge(KernelOp::Trap, c.traps);
     if (c.exceptions)
-        kernel.otherExceptionBatch(c.exceptions);
+        kernel.charge(KernelOp::OtherException, c.exceptions);
     if (c.threadSwitches)
-        kernel.threadSwitchBatch(c.threadSwitches);
+        kernel.charge(KernelOp::ThreadSwitch, c.threadSwitches);
     if (c.tasOps)
-        kernel.emulateTestAndSetBatch(c.tasOps);
+        kernel.charge(KernelOp::EmulatedTas, c.tasOps);
     if (c.emulInstrs)
-        kernel.emulateSingleInstructionsBatch(c.emulInstrs);
+        kernel.charge(KernelOp::EmulatedInstr, c.emulInstrs);
     if (c.pteChanges) {
-        vpn_scratch.clear();
-        for (std::uint32_t i = 0; i < c.pteChanges; ++i)
-            vpn_scratch.push_back(trafficPteBase +
-                                  pte_cursor++ % trafficPtePages);
-        PageProt prot;
-        prot.writable = (pte_cursor & 1) != 0;
-        kernel.pteChangeBatch(space, vpn_scratch, prot);
+        kernel.charge(KernelOp::PteChange, c.pteChanges);
+        protectPages(kernel, space, c.pteChanges, pte_cursor);
     }
 }
 
@@ -255,7 +265,6 @@ runCell(const TrafficConfig &cfg, MachineId mid, std::size_t level_idx)
     Histogram wait_all;
     std::array<Histogram, numRequestClasses> latency_class;
     std::vector<SlowRequest> slowest;
-    std::vector<Vpn> vpn_scratch;
     std::uint64_t pte_cursor = 0;
 
     Cycles server_free = 0;
@@ -336,7 +345,7 @@ runCell(const TrafficConfig &cfg, MachineId mid, std::size_t level_idx)
 
         const Cycles start = std::max(arrival, server_free);
         const Cycles before = kernel.elapsedCycles();
-        issueRequest(kernel, space, cls, vpn_scratch, pte_cursor);
+        issueRequest(kernel, space, cls, pte_cursor);
         const Cycles service = kernel.elapsedCycles() - before;
         const Cycles finish = start + service;
         const Cycles wait = start - arrival;
@@ -477,41 +486,16 @@ replayEventMix(SimKernel &kernel, AddressSpace *pte_space,
 {
     Rng rng(seed);
     std::uint64_t issued = 0;
-    std::vector<Vpn> vpns;
     std::uint64_t cursor = 0;
-    const std::uint64_t kinds = pte_space ? 7 : 6;
+    // PteChange is the last op: without a space, draw the others.
+    const std::uint64_t kinds =
+        pte_space ? kernelOpCount : kernelOpCount - 1;
     while (issued < total_events) {
         std::uint64_t n = rng.between(1, 256);
-        switch (rng.below(kinds)) {
-          case 0:
-            kernel.syscallBatch(n, sample_each);
-            break;
-          case 1:
-            kernel.trapBatch(n, sample_each);
-            break;
-          case 2:
-            kernel.otherExceptionBatch(n, sample_each);
-            break;
-          case 3:
-            kernel.threadSwitchBatch(n, sample_each);
-            break;
-          case 4:
-            kernel.emulateTestAndSetBatch(n, sample_each);
-            break;
-          case 5:
-            kernel.emulateSingleInstructionsBatch(n, sample_each);
-            break;
-          default: {
-            vpns.clear();
-            for (std::uint64_t i = 0; i < n; ++i)
-                vpns.push_back(trafficPteBase +
-                               cursor++ % trafficPtePages);
-            PageProt prot;
-            prot.writable = (cursor & 1) != 0;
-            kernel.pteChangeBatch(*pte_space, vpns, prot);
-            break;
-          }
-        }
+        const auto op = static_cast<KernelOp>(rng.below(kinds));
+        kernel.charge(op, n, sample_each);
+        if (op == KernelOp::PteChange)
+            protectPages(kernel, *pte_space, n, cursor);
         issued += n;
     }
     return issued;

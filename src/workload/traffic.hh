@@ -99,14 +99,14 @@ Json buildTrafficDoc(const TrafficConfig &cfg, ParallelRunner &runner);
 
 /**
  * Drive ~`total_events` kernel events through `kernel` as seeded
- * randomized homogeneous runs (length 1..256) over every batchable
- * primitive, via the batched entry points — so with batching enabled
- * the runs are charged in closed form and with it disabled the same
- * calls take the per-event loops. `pte_space` (may be null to skip
- * PTE-change runs) needs pages mapped at 0x1000; `sample_each`
- * reproduces a per-event sampler tick for every event. Returns the
+ * randomized homogeneous runs (length 1..256) over every KernelOp,
+ * one SimKernel::charge per run — so with batching enabled the runs
+ * are charged in closed form and with it disabled the same calls take
+ * the per-event loop. `pte_space` (may be null to skip PTE-change
+ * runs) needs pages mapped at 0x1000; `sample_each` reproduces a
+ * per-event sampler tick for every event. Returns the
  * number of events issued (>= total_events). Shared by the
- * batch-equivalence property tests and BM_KernelWindowBatched.
+ * batch equivalence tests and BM_KernelWindowBatched.
  */
 std::uint64_t replayEventMix(SimKernel &kernel, AddressSpace *pte_space,
                              std::uint64_t total_events,

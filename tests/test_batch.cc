@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the kernel-window batch charger (sim/batch + the
- * SimKernel *Batch entry points): toggle semantics, the central
- * equivalence property — a batched run leaves *exactly* the state of
- * the per-event loop (cycles, every hardware counter, kernel stats,
- * the profiler tree, the sampler series) on every Table 1 machine,
- * under randomized event mixes, and under --no-predecode — and the
+ * Tests for the kernel-window batch charger (sim/batch +
+ * SimKernel::charge over the kernel-op table): toggle semantics, the
+ * central equivalence property — a batched run leaves *exactly* the
+ * state of the per-event loop (cycles, every hardware counter, kernel
+ * stats, the profiler tree, the sampler series) for every KernelOp on
+ * every Table 1 machine, under randomized event mixes, and under
+ * --no-predecode — each op's per-event trace records, and the
  * CounterSampler::tickRun multi-interval regression (a batch spanning
  * several sample intervals emits one sample per boundary crossed,
  * never one fat sample).
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "sim/counters/counters.hh"
 #include "sim/profile/profile.hh"
 #include "sim/sampling/sampler.hh"
+#include "sim/trace.hh"
 #include "workload/traffic.hh"
 
 using namespace aosd;
@@ -155,8 +158,8 @@ TEST_F(BatchTest, BatchedSamplerSeriesEqualsPerEvent)
 }
 
 // The reference-interpreter mode disables batching via batchActive();
-// the *Batch entry points must still equal the per-event loop (both
-// fall back, and the fallback must not double-charge).
+// charge(op, n) must still equal the per-event loop (both fall back,
+// and the fallback must not double-charge).
 TEST_F(BatchTest, EquivalenceHoldsUnderNoPredecode)
 {
     setPredecodeEnabled(false);
@@ -171,17 +174,182 @@ TEST_F(BatchTest, ZeroCountBatchesAreNoOps)
 {
     MachineDesc m = makeMachine(MachineId::R3000);
     SimKernel kernel(m);
-    AddressSpace &space = kernel.createSpace("app");
     HwCounters::instance().enable();
-    kernel.syscallBatch(0);
-    kernel.trapBatch(0);
-    kernel.otherExceptionBatch(0);
-    kernel.threadSwitchBatch(0);
-    kernel.emulateTestAndSetBatch(0);
-    kernel.emulateSingleInstructionsBatch(0);
-    kernel.pteChangeBatch(space, {}, {});
+    for (std::size_t i = 0; i < kernelOpCount; ++i)
+        kernel.charge(static_cast<KernelOp>(i), 0, /*sample_each=*/true);
     EXPECT_EQ(kernel.elapsedCycles(), 0u);
     EXPECT_EQ(HwCounters::instance().snapshot().totalEvents(), 0u);
+}
+
+// ---- the kernel-op table, op by op -------------------------------
+
+const char *
+opName(KernelOp op)
+{
+    static const char *const names[] = {
+        "Syscall",     "Trap",          "OtherException", "ThreadSwitch",
+        "EmulatedTas", "EmulatedInstr", "PteChange"};
+    static_assert(std::size(names) == kernelOpCount);
+    return names[static_cast<std::size_t>(op)];
+}
+
+/** How runOp issues its n events. */
+enum class Issue
+{
+    Batched,  ///< one charge(op, n), batching on
+    PerEvent, ///< one charge(op, n), batching off: the per-event loop
+    Names     ///< n calls of the op's per-event name
+};
+
+/** Sampler interval of the sample_each runs; the run starts one cycle
+ *  short of it, so even a single 4-cycle event crosses a boundary. */
+constexpr Cycles opSampleInterval = 100;
+
+/** Issue `n` events of `op` on `mid` and capture the complete
+ *  observable state. A PteChange run edits pages 0x1000.., as
+ *  replayEventMix does; `sample_each` samples every event. */
+RunState
+runOp(MachineId mid, KernelOp op, std::uint64_t n, Issue issue,
+      bool sample_each)
+{
+    setBatchEnabled(issue != Issue::PerEvent);
+    MachineDesc m = makeMachine(mid);
+    SimKernel kernel(m);
+    AddressSpace &space = kernel.createSpace("op");
+    space.mapRange(0x1000, 64, 0x50000, {});
+    kernel.contextSwitchTo(space);
+    kernel.resetAccounting();
+    CounterWindow window(true,
+                         {sample_each ? opSampleInterval : 0u, 4096});
+    Profiler::instance().enable();
+    kernel.chargeCycles(opSampleInterval - 1);
+
+    PageProt prot;
+    if (issue != Issue::Names) {
+        kernel.charge(op, n, sample_each);
+        if (op == KernelOp::PteChange)
+            for (std::uint64_t i = 0; i < n; ++i)
+                kernel.protectPage(space, 0x1000 + i % 64, prot);
+    }
+    for (std::uint64_t i = 0; issue == Issue::Names && i < n; ++i) {
+        switch (op) {
+          case KernelOp::Syscall: kernel.syscall(); break;
+          case KernelOp::Trap: kernel.trap(); break;
+          case KernelOp::OtherException: kernel.otherException(); break;
+          case KernelOp::ThreadSwitch: kernel.threadSwitch(); break;
+          case KernelOp::EmulatedTas: kernel.emulateTestAndSet(); break;
+          case KernelOp::EmulatedInstr:
+            kernel.emulateInstructions(1);
+            break;
+          case KernelOp::PteChange:
+            kernel.pteChange(space, 0x1000 + i % 64, prot);
+            break;
+        }
+        if (sample_each)
+            CounterSampler::instance().tick(
+                kernel.elapsedCycles(),
+                static_cast<double>(kernel.primitiveCycles()));
+    }
+
+    RunState out;
+    out.elapsed = kernel.elapsedCycles();
+    out.primitive = kernel.primitiveCycles();
+    out.counters = window.events();
+    out.stats = kernel.stats().toJson().dump();
+    out.profile = Profiler::instance().toJson().dump();
+    if (sample_each)
+        out.stats +=
+            window
+                .finish(kernel.elapsedCycles(),
+                        static_cast<double>(kernel.primitiveCycles()))
+                .toJson()
+                .dump();
+    Profiler::instance().disable();
+    Profiler::instance().clear();
+    return out;
+}
+
+// Every row of the op table, on every Table 1 machine, at run lengths
+// 0, 1, 2 and 257: the closed-form charge leaves exactly the state of
+// the per-event loop, and (unsampled) of n calls of the op's
+// per-event name. The sampled comparison stops at the loop: a
+// PteChange run applies its page edits after the charge, so on a
+// virtually-indexed cache the samples taken between events do not
+// yet see the flushes the per-event name performs inside each event.
+TEST_F(BatchTest, EveryOpBatchedEqualsPerEventOnEveryTable1Machine)
+{
+    for (const MachineDesc &m : table1Machines()) {
+        for (std::size_t i = 0; i < kernelOpCount; ++i) {
+            const auto op = static_cast<KernelOp>(i);
+            for (std::uint64_t n : {0ull, 1ull, 2ull, 257ull}) {
+                for (bool sample_each : {false, true}) {
+                    const RunState batched =
+                        runOp(m.id, op, n, Issue::Batched, sample_each);
+                    EXPECT_EQ(batched, runOp(m.id, op, n,
+                                             Issue::PerEvent,
+                                             sample_each))
+                        << machineSlug(m.id) << " " << opName(op)
+                        << " n " << n << " sample_each " << sample_each;
+                    if (!sample_each) {
+                        EXPECT_EQ(batched,
+                                  runOp(m.id, op, n, Issue::Names,
+                                        false))
+                            << machineSlug(m.id) << " " << opName(op)
+                            << " n " << n << " per-event name";
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** One expected trace record: phase, event, name, arg. */
+struct OpRecord
+{
+    TracePhase phase;
+    TraceEvent event;
+    const char *name;
+    std::uint64_t arg;
+};
+
+// Each row's trace shape, pinned for one per-event call (the tracer
+// keeps batching off): a Complete record, a Begin/End pair, an
+// Instant, or nothing at all.
+TEST_F(BatchTest, EveryOpEmitsItsTraceShapePerEvent)
+{
+    const std::vector<OpRecord> want[kernelOpCount] = {
+        {{TracePhase::Complete, TraceEvent::Syscall, "syscall", 0}},
+        {{TracePhase::Begin, TraceEvent::TrapEnter, "trap", 0},
+         {TracePhase::End, TraceEvent::TrapExit, "trap", 0}},
+        {{TracePhase::Complete, TraceEvent::TrapEnter, "exception", 0}},
+        {{TracePhase::Complete, TraceEvent::ThreadSwitch,
+          "thread_switch", 0}},
+        {},
+        {{TracePhase::Instant, TraceEvent::EmulatedInstr, "emulate", 1}},
+        {},
+    };
+    Tracer &tr = Tracer::instance();
+    for (std::size_t i = 0; i < kernelOpCount; ++i) {
+        const auto op = static_cast<KernelOp>(i);
+        SimKernel kernel(makeMachine(MachineId::R3000));
+        tr.enable(64);
+        kernel.charge(op, 1);
+        const std::vector<TraceRecord> got = tr.snapshot();
+        tr.disable();
+        tr.clear();
+        ASSERT_EQ(got.size(), want[i].size()) << opName(op);
+        for (std::size_t r = 0; r < got.size(); ++r) {
+            EXPECT_EQ(got[r].phase, want[i][r].phase) << opName(op);
+            EXPECT_EQ(got[r].event, want[i][r].event) << opName(op);
+            EXPECT_STREQ(got[r].name, want[i][r].name) << opName(op);
+            EXPECT_EQ(got[r].arg, want[i][r].arg) << opName(op);
+        }
+        if (want[i].size() == 1 &&
+            want[i][0].phase == TracePhase::Complete) {
+            EXPECT_EQ(got[0].duration, kernel.elapsedCycles())
+                << opName(op);
+        }
+    }
 }
 
 // ---- CounterSampler::tickRun ------------------------------------

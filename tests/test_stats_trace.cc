@@ -25,6 +25,7 @@
 #include "os/ipc/rpc.hh"
 #include "os/ipc/urpc.hh"
 #include "os/kernel/kernel.hh"
+#include "sim/counters/counters.hh"
 #include "sim/json.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
@@ -428,6 +429,36 @@ TEST_F(TraceOrderTest, SyscallEmitsCompleteEventWithCost)
     EXPECT_EQ(r.event, TraceEvent::Syscall);
     EXPECT_EQ(r.phase, TracePhase::Complete);
     EXPECT_EQ(r.duration, cost);
+}
+
+// The tlb_misses counter track plots the TLB's own miss count, so it
+// rises with every miss even with the hardware counters off (outside
+// a counter window they read 0).
+TEST_F(TraceOrderTest, TlbMissTrackCountsEveryMissWithCountersOff)
+{
+    Tracer &tr = Tracer::instance();
+    tr.enable(1 << 10);
+    ASSERT_FALSE(countersEnabled());
+
+    SimKernel kernel(makeMachine(MachineId::R3000));
+    AddressSpace &a = kernel.createSpace("a");
+    a.mapRange(0x1000, 4, 0x9000, {});
+    const StatGroup &tlb = kernel.tlb().stats();
+    const std::uint64_t misses_before = tlb.get("misses");
+    kernel.contextSwitchTo(a);
+    kernel.touchPages({0x1000, 0x1001, 0x1002, 0x1003}, false);
+
+    std::vector<std::uint64_t> track;
+    for (const TraceRecord &r : tr.snapshot())
+        if (r.event == TraceEvent::Counter &&
+            std::strcmp(r.name, "tlb_misses") == 0)
+            track.push_back(r.arg);
+    const std::uint64_t misses = tlb.get("misses") - misses_before;
+    ASSERT_GE(misses, 4u);
+    ASSERT_EQ(track.size(), misses);
+    for (std::size_t i = 1; i < track.size(); ++i)
+        EXPECT_EQ(track[i], track[i - 1] + 1) << "sample " << i;
+    EXPECT_EQ(track.back(), tlb.get("misses"));
 }
 
 namespace
