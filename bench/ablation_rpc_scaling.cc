@@ -43,9 +43,9 @@ main()
     n.header({"link Mbit/s", "total us", "wire us", "wire %",
               "CPU-bound floor us"});
     for (double mbps : {10.0, 100.0, 1000.0}) {
-        RpcConfig cfg;
-        cfg.link.mbps = mbps;
-        SrcRpcModel mm(sharedCostDb().machine(MachineId::R3000), cfg);
+        EthernetDesc link;
+        link.mbps = mbps;
+        SrcRpcModel mm(sharedCostDb().machine(MachineId::R3000), link);
         RpcBreakdown b = mm.roundTrip(74, 1500);
         n.row({TextTable::num(mbps, 0), TextTable::num(b.totalUs(), 0),
                TextTable::num(b.wireUs, 0),
@@ -63,9 +63,9 @@ main()
     f.header({"machine", "total us", "kernel+interrupt us",
               "copy+checksum us", "wire us"});
     for (const MachineDesc &m : allMachines()) {
-        RpcConfig cfg;
-        cfg.link.mbps = 100.0;
-        SrcRpcModel mm(m, cfg);
+        EthernetDesc link;
+        link.mbps = 100.0;
+        SrcRpcModel mm(m, link);
         RpcBreakdown b = mm.nullRpc();
         f.row({m.name, TextTable::num(b.totalUs(), 0),
                TextTable::num(b.kernelTransferUs + b.interruptUs +

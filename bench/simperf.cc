@@ -323,10 +323,9 @@ BM_ReportFull(benchmark::State &state)
     // figures: the --jobs 1 wall-clock baseline that CI's
     // BENCH_report.json speedup column divides by. Also the
     // predecode perf gate's numerator/denominator: CI runs the binary
-    // twice, the second time under AOSD_NO_PREDECODE=1 (google-
-    // benchmark owns argv, so the reference path is selected by
-    // environment rather than by --no-predecode), and fails if the
-    // on/off ratio falls below 3x.
+    // twice, the second time under AOSD_NO_PREDECODE=1 (the
+    // reference path is selected by environment, as in every tool),
+    // and fails if the on/off ratio falls below 3x.
     for (auto _ : state) {
         ParallelRunner serial(1);
         Json report = buildReport(serial);

@@ -25,10 +25,10 @@
  * primitive; CI cmp-gates whole report documents byte-for-byte).
  *
  * The layer is switchable two ways, both output-preserving:
- *  - setPredecodeEnabled(false) / the tools' --no-predecode flag picks
- *    the interpreter reference path at run time;
- *  - AOSD_NO_PREDECODE=1 in the environment does the same for
- *    harnesses that cannot pass flags (google-benchmark).
+ *  - AOSD_NO_PREDECODE=1 in the environment picks the interpreter
+ *    reference path for the whole process (every tool, test and
+ *    benchmark honours it);
+ *  - setPredecodeEnabled(false) does the same at run time.
  */
 
 #ifndef AOSD_CPU_DECODED_PROGRAM_HH

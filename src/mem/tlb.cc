@@ -21,81 +21,12 @@ Tlb::Tlb(const TlbDesc &d)
         cap *= 2;
     table.assign(cap, IndexCell{});
     tableMask = cap - 1;
-    internStats();
-}
-
-void
-Tlb::internStats()
-{
     statLookups = &statGroup.handle("lookups");
     statHits = &statGroup.handle("hits");
     statMisses = &statGroup.handle("misses");
     statKernelMisses = &statGroup.handle("kernel_misses");
     statUserMisses = &statGroup.handle("user_misses");
     statInserts = &statGroup.handle("inserts");
-}
-
-Tlb::Tlb(const Tlb &o)
-    : desc(o.desc), entries(o.entries), useClock(o.useClock),
-      table(o.table), tableMask(o.tableMask), lruPrev(o.lruPrev),
-      lruNext(o.lruNext), lruHead(o.lruHead), lruTail(o.lruTail),
-      freeWords(o.freeWords), freeCount(o.freeCount),
-      statGroup(o.statGroup)
-{
-    internStats();
-}
-
-Tlb::Tlb(Tlb &&o)
-    : desc(std::move(o.desc)), entries(std::move(o.entries)),
-      useClock(o.useClock), table(std::move(o.table)),
-      tableMask(o.tableMask), lruPrev(std::move(o.lruPrev)),
-      lruNext(std::move(o.lruNext)), lruHead(o.lruHead),
-      lruTail(o.lruTail), freeWords(std::move(o.freeWords)),
-      freeCount(o.freeCount), statGroup(std::move(o.statGroup))
-{
-    internStats();
-}
-
-Tlb &
-Tlb::operator=(const Tlb &o)
-{
-    if (this == &o)
-        return *this;
-    desc = o.desc;
-    entries = o.entries;
-    useClock = o.useClock;
-    table = o.table;
-    tableMask = o.tableMask;
-    lruPrev = o.lruPrev;
-    lruNext = o.lruNext;
-    lruHead = o.lruHead;
-    lruTail = o.lruTail;
-    freeWords = o.freeWords;
-    freeCount = o.freeCount;
-    statGroup = o.statGroup;
-    internStats();
-    return *this;
-}
-
-Tlb &
-Tlb::operator=(Tlb &&o)
-{
-    if (this == &o)
-        return *this;
-    desc = std::move(o.desc);
-    entries = std::move(o.entries);
-    useClock = o.useClock;
-    table = std::move(o.table);
-    tableMask = o.tableMask;
-    lruPrev = std::move(o.lruPrev);
-    lruNext = std::move(o.lruNext);
-    lruHead = o.lruHead;
-    lruTail = o.lruTail;
-    freeWords = std::move(o.freeWords);
-    freeCount = o.freeCount;
-    statGroup = std::move(o.statGroup);
-    internStats();
-    return *this;
 }
 
 void
@@ -250,7 +181,6 @@ Tlb::insert(Vpn vpn, Asid asid, Pfn pfn, PageProt prot, bool locked)
     e.asid = desc.processIdTags ? asid : 0;
     e.pfn = pfn;
     e.prot = prot;
-    e.lastUse = ++useClock;
     ++*statInserts;
     if (tracerEnabled())
         Tracer::instance().instant(TraceEvent::TlbFill, "tlb_fill", vpn);
@@ -292,7 +222,6 @@ Tlb::refill(Vpn vpn, Asid asid, Pfn pfn, PageProt prot,
     e.asid = desc.processIdTags ? asid : 0;
     e.pfn = pfn;
     e.prot = prot;
-    e.lastUse = ++useClock;
     ++*statInserts;
 }
 

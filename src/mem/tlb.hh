@@ -65,24 +65,23 @@ struct TlbLookup
  *
  * Every operation is O(1) in the entry count (the workload engine
  * performs millions of lookups per Table 7 cell): a hash index maps
- * (vpn, asid) to its slot, an intrusive recency list replaces the
- * lastUse scan, and a free-slot bitmap finds the lowest invalid slot.
- * Replacement decisions are identical to the reference linear scan:
- * the victim is the first invalid entry in slot order, else the least
- * recently used unlocked entry (lastUse values are unique, so LRU
- * order is total).
+ * (vpn, asid) to its slot, an intrusive recency list over the valid
+ * slots holds the LRU order (most recent at its head), and a
+ * free-slot bitmap finds the lowest invalid slot. The victim is the
+ * first invalid entry in slot order, else the least recently used
+ * unlocked entry (the list order is total).
  */
 class Tlb
 {
   public:
     explicit Tlb(const TlbDesc &d);
 
-    /** Copies/moves re-intern the hot stat handles, which point into
-     *  the copied StatGroup. */
-    Tlb(const Tlb &o);
-    Tlb(Tlb &&o);
-    Tlb &operator=(const Tlb &o);
-    Tlb &operator=(Tlb &&o);
+    /** Not copyable or movable: the interned stat handles point into
+     *  this object's StatGroup. */
+    Tlb(const Tlb &) = delete;
+    Tlb(Tlb &&) = delete;
+    Tlb &operator=(const Tlb &) = delete;
+    Tlb &operator=(Tlb &&) = delete;
 
     /** Probe for (vpn, asid); updates recency on hit.
      *  @param kernel_space  the reference is to mapped kernel space
@@ -149,7 +148,6 @@ class Tlb
         Asid asid = 0;
         Pfn pfn = 0;
         PageProt prot;
-        std::uint64_t lastUse = 0;
     };
 
     static constexpr std::uint32_t npos = ~0u;
@@ -214,11 +212,8 @@ class Tlb
 
     void dropEntry(std::uint32_t slot);
 
-    void internStats();
-
     TlbDesc desc;
     std::vector<Entry> entries;
-    std::uint64_t useClock = 0;
     std::vector<IndexCell> table;
     std::uint32_t tableMask = 0;
     std::vector<std::uint32_t> lruPrev;
@@ -230,7 +225,7 @@ class Tlb
     std::vector<std::uint64_t> freeWords;
     std::uint32_t freeCount = 0;
     StatGroup statGroup{"tlb"};
-    /** Interned hot stat handles (see internStats). */
+    /** Interned hot stat handles (bumped without a name lookup). */
     std::uint64_t *statLookups = nullptr;
     std::uint64_t *statHits = nullptr;
     std::uint64_t *statMisses = nullptr;
@@ -306,8 +301,7 @@ Tlb::lookup(Vpn vpn, Asid asid, bool kernel_space, bool count_hit)
         if (table[i].vpn == k.vpn && table[i].asid == k.asid)
             [[likely]] {
             std::uint32_t slot = table[i].slot;
-            Entry &e = entries[slot];
-            e.lastUse = ++useClock;
+            const Entry &e = entries[slot];
             lruTouch(slot);
             ++*statHits;
             if (count_hit)

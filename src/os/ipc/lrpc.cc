@@ -67,10 +67,10 @@ LrpcModel::nullCall() const
     auto us = [&](Cycles c) { return desc.clock.cyclesToMicros(c); };
 
     LrpcBreakdown b;
-    b.stubUs = 2.0 * us(cfg.stubInstructions);
+    b.stubUs = 2.0 * us(lrpc::stubInstructions);
     b.kernelEntryUs =
         2.0 * db.micros(desc.id, Primitive::NullSyscall);
-    b.validationUs = 2.0 * us(cfg.validationInstructions);
+    b.validationUs = 2.0 * us(lrpc::validationInstructions);
     b.contextSwitchUs =
         2.0 * db.micros(desc.id, Primitive::ContextSwitch);
 
@@ -83,12 +83,12 @@ LrpcModel::nullCall() const
     b.tlbMissUs = us(misses * miss_cost);
 
     // One copy onto the shared A-stack per direction.
-    b.argCopyUs = 2.0 * us(copyCycles(desc, cfg.argBytes));
+    b.argCopyUs = 2.0 * us(copyCycles(desc, lrpc::argBytes));
 
     // Call + reply ride the same-machine fast path.
     countEvent(HwCounter::IpcMessages, 2);
     countEvent(HwCounter::IpcFastPath);
-    countEvent(HwCounter::IpcBytesCopied, 2ull * cfg.argBytes);
+    countEvent(HwCounter::IpcBytesCopied, 2ull * lrpc::argBytes);
 
     // One component table, in call order, mirroring the breakdown
     // Table 4 reports: profiler tree, span group and trace timeline.

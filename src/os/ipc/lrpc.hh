@@ -64,19 +64,24 @@ struct LrpcBreakdown
     }
 };
 
+/** Fixed parameters of the LRPC path (Table 4). */
+namespace lrpc
+{
+/** Argument bytes for the simplest call. */
+inline constexpr std::uint32_t argBytes = 16;
+/** Stub instructions per side (LRPC stubs are a few instructions). */
+inline constexpr std::uint64_t stubInstructions = 110;
+/** Kernel validation/dispatch instructions per crossing. */
+inline constexpr std::uint64_t validationInstructions = 70;
+} // namespace lrpc
+
 /** Configuration of the LRPC path. */
 struct LrpcConfig
 {
-    /** Argument bytes for the simplest call. */
-    std::uint32_t argBytes = 16;
     /** Pages each domain touches between crossings (its TLB working
      *  set; refilled after each purge on untagged hardware). */
     std::uint32_t clientWorkingSetPages = 10;
     std::uint32_t serverWorkingSetPages = 10;
-    /** Stub instructions per side (LRPC stubs are a few instructions). */
-    std::uint64_t stubInstructions = 110;
-    /** Kernel validation/dispatch instructions per crossing. */
-    std::uint64_t validationInstructions = 70;
 };
 
 /**

@@ -29,8 +29,8 @@ RpcBreakdown::cpuUs() const
     return totalUs() - wireUs - controllerUs;
 }
 
-SrcRpcModel::SrcRpcModel(const MachineDesc &machine, RpcConfig config)
-    : desc(machine), cfg(std::move(config))
+SrcRpcModel::SrcRpcModel(const MachineDesc &machine, EthernetDesc link)
+    : desc(machine), link(link)
 {}
 
 RpcBreakdown
@@ -39,14 +39,14 @@ SrcRpcModel::roundTrip(std::uint32_t arg_bytes,
 {
     const PrimitiveCostDb &db = sharedCostDb();
     const Clock &clk = desc.clock;
-    Ethernet ether(cfg.link);
+    Ethernet ether(link);
 
     auto us = [&](Cycles c) { return clk.cyclesToMicros(c); };
 
     RpcBreakdown b;
 
-    std::uint32_t call_pkt = arg_bytes + cfg.protocolHeaderBytes;
-    std::uint32_t reply_pkt = result_bytes + cfg.protocolHeaderBytes;
+    std::uint32_t call_pkt = arg_bytes + srcrpc::protocolHeaderBytes;
+    std::uint32_t reply_pkt = result_bytes + srcrpc::protocolHeaderBytes;
 
     // A round trip is two messages (call + reply) over the kernel-
     // mediated network path; marshaling copies both payloads at both
@@ -54,49 +54,49 @@ SrcRpcModel::roundTrip(std::uint32_t arg_bytes,
     countEvent(HwCounter::IpcMessages, 2);
     countEvent(HwCounter::IpcSlowPath);
     countEvent(HwCounter::IpcBytesCopied,
-               static_cast<std::uint64_t>(cfg.copiesPerTransfer) *
+               static_cast<std::uint64_t>(srcrpc::copiesPerTransfer) *
                    (arg_bytes + result_bytes));
 
     // Stubs: fixed bookkeeping; the byte copies are priced separately
     // so the copy component is visible (s2.4).
-    b.clientStubUs = us(cfg.clientStubInstructions);
-    b.serverStubUs = us(cfg.serverStubInstructions);
+    b.clientStubUs = us(srcrpc::clientStubInstructions);
+    b.serverStubUs = us(srcrpc::serverStubInstructions);
 
     // Kernel transfer: system calls to send/receive plus the blocking
     // context switches while each side waits.
     b.kernelTransferUs =
-        cfg.syscallsPerRoundTrip *
+        srcrpc::syscallsPerRoundTrip *
             db.micros(desc.id, Primitive::NullSyscall) +
-        cfg.contextSwitchesPerRoundTrip *
+        srcrpc::contextSwitchesPerRoundTrip *
             db.micros(desc.id, Primitive::ContextSwitch);
 
     // Interrupts: one trap per packet event plus handler body with
     // uncached device-register accesses.
     std::uint32_t interrupts =
-        2 * cfg.link.interruptsPerPacket + 2; // rx each side + tx done
-    Cycles handler = cfg.interruptHandlerInstructions +
-                     static_cast<Cycles>(cfg.interruptDeviceAccesses) *
+        2 * link.interruptsPerPacket + 2; // rx each side + tx done
+    Cycles handler = srcrpc::interruptHandlerInstructions +
+                     static_cast<Cycles>(srcrpc::interruptDeviceAccesses) *
                          desc.cache.uncachedCycles;
     b.interruptUs =
         interrupts * (db.micros(desc.id, Primitive::Trap) + us(handler));
 
     // Checksums over both packets at both ends.
-    Cycles ck = cfg.checksumPassesPerPacket *
+    Cycles ck = srcrpc::checksumPassesPerPacket *
                 (checksumCycles(desc, call_pkt) +
                  checksumCycles(desc, reply_pkt));
     b.checksumUs = us(ck);
 
     // Marshaling copies of arguments and results.
-    Cycles cp = cfg.copiesPerTransfer * (copyCycles(desc, arg_bytes) +
+    Cycles cp = srcrpc::copiesPerTransfer * (copyCycles(desc, arg_bytes) +
                                          copyCycles(desc, result_bytes));
     b.copyUs = us(cp);
 
     // Server thread wakeup and dispatch.
-    b.dispatchUs = us(cfg.dispatchInstructions) +
+    b.dispatchUs = us(srcrpc::dispatchInstructions) +
                    db.micros(desc.id, Primitive::ContextSwitch);
 
     b.controllerUs =
-        2.0 * 2.0 * cfg.link.controllerLatencyUs; // tx+rx, both packets
+        2.0 * 2.0 * link.controllerLatencyUs; // tx+rx, both packets
     b.wireUs = ether.wireTimeUs(call_pkt) + ether.wireTimeUs(reply_pkt);
 
     // One component table, in wire order, for the profiler tree, an

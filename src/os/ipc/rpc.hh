@@ -45,37 +45,40 @@ struct RpcBreakdown
     double cpuUs() const;
 };
 
-/** Configuration of the RPC system being modelled. */
-struct RpcConfig
+/**
+ * Fixed parameters of the SRC RPC system (§2.1, Table 3), shared by
+ * the analytic SrcRpcModel and the executed RpcSimulation. The link
+ * is the one setting a caller chooses.
+ */
+namespace srcrpc
 {
-    EthernetDesc link;
-    /** Header bytes the RPC protocol adds inside the payload. */
-    std::uint32_t protocolHeaderBytes = 0;
-    /** Fixed stub instructions, client / server side. */
-    std::uint64_t clientStubInstructions = 220;
-    std::uint64_t serverStubInstructions = 180;
-    /** System calls per round trip (send + receive, both sides). */
-    std::uint32_t syscallsPerRoundTrip = 4;
-    /** Blocking context switches per round trip. */
-    std::uint32_t contextSwitchesPerRoundTrip = 4;
-    /** Interrupt-handler body instructions (beyond the trap itself). */
-    std::uint64_t interruptHandlerInstructions = 150;
-    /** Uncached device-register accesses in the interrupt handler. */
-    std::uint32_t interruptDeviceAccesses = 12;
-    /** Scheduler instructions to wake and dispatch the server thread. */
-    std::uint64_t dispatchInstructions = 260;
-    /** Checksum passes per packet (sender computes, receiver checks). */
-    std::uint32_t checksumPassesPerPacket = 2;
-    /** Copies of each argument/result buffer (user->kernel->wire). */
-    std::uint32_t copiesPerTransfer = 2;
-};
+/** Header bytes the RPC protocol adds inside the payload. */
+inline constexpr std::uint32_t protocolHeaderBytes = 0;
+/** Fixed stub instructions, client / server side. */
+inline constexpr std::uint64_t clientStubInstructions = 220;
+inline constexpr std::uint64_t serverStubInstructions = 180;
+/** System calls per round trip (send + receive, both sides). */
+inline constexpr std::uint32_t syscallsPerRoundTrip = 4;
+/** Blocking context switches per round trip. */
+inline constexpr std::uint32_t contextSwitchesPerRoundTrip = 4;
+/** Interrupt-handler body instructions (beyond the trap itself). */
+inline constexpr std::uint64_t interruptHandlerInstructions = 150;
+/** Uncached device-register accesses in the interrupt handler. */
+inline constexpr std::uint32_t interruptDeviceAccesses = 12;
+/** Scheduler instructions to wake and dispatch the server thread. */
+inline constexpr std::uint64_t dispatchInstructions = 260;
+/** Checksum passes per packet (sender computes, receiver checks). */
+inline constexpr std::uint32_t checksumPassesPerPacket = 2;
+/** Copies of each argument/result buffer (user->kernel->wire). */
+inline constexpr std::uint32_t copiesPerTransfer = 2;
+} // namespace srcrpc
 
 /** SRC RPC on one machine type (both ends identical, as on Fireflies). */
 class SrcRpcModel
 {
   public:
     explicit SrcRpcModel(const MachineDesc &machine,
-                         RpcConfig config = {});
+                         EthernetDesc link = {});
 
     /** Round-trip RPC with the given argument/result payloads. */
     RpcBreakdown roundTrip(std::uint32_t arg_bytes,
@@ -94,11 +97,10 @@ class SrcRpcModel
                            double cpu_factor) const;
 
     const MachineDesc &machine() const { return desc; }
-    const RpcConfig &config() const { return cfg; }
 
   private:
     MachineDesc desc;
-    RpcConfig cfg;
+    EthernetDesc link;
 };
 
 } // namespace aosd

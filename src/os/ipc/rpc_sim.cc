@@ -62,8 +62,8 @@ struct RpcSimulation::Node
 };
 
 RpcSimulation::RpcSimulation(const MachineDesc &machine,
-                             RpcConfig config)
-    : desc(machine), cfg(std::move(config))
+                             EthernetDesc link)
+    : desc(machine), link(link)
 {}
 
 RpcSimResult
@@ -71,15 +71,15 @@ RpcSimulation::run(std::uint64_t calls, std::uint32_t arg_bytes,
                    std::uint32_t result_bytes)
 {
     EventQueue events;
-    Network net(events, cfg.link);
+    Network net(events, link);
     Node client(desc), server(desc);
 
-    const std::uint32_t call_pkt = arg_bytes + cfg.protocolHeaderBytes;
+    const std::uint32_t call_pkt = arg_bytes + srcrpc::protocolHeaderBytes;
     const std::uint32_t reply_pkt =
-        result_bytes + cfg.protocolHeaderBytes;
+        result_bytes + srcrpc::protocolHeaderBytes;
     const Cycles interrupt_body =
-        cfg.interruptHandlerInstructions +
-        static_cast<Cycles>(cfg.interruptDeviceAccesses) *
+        srcrpc::interruptHandlerInstructions +
+        static_cast<Cycles>(srcrpc::interruptDeviceAccesses) *
             desc.cache.uncachedCycles;
 
     RpcSimResult result;
@@ -102,9 +102,9 @@ RpcSimulation::run(std::uint64_t calls, std::uint32_t arg_bytes,
         us += server.charge("checksum", checksumCycles(desc, call_pkt));
         us += server.charge("copy", copyCycles(desc, arg_bytes));
         us += server.threadSwitch(); // wake the server thread
-        us += server.charge("dispatch", cfg.dispatchInstructions);
+        us += server.charge("dispatch", srcrpc::dispatchInstructions);
         us += server.syscall(); // return from receive
-        us += server.charge("stub", cfg.serverStubInstructions);
+        us += server.charge("stub", srcrpc::serverStubInstructions);
         us += server.charge("copy", copyCycles(desc, result_bytes));
         us +=
             server.charge("checksum", checksumCycles(desc, reply_pkt));
@@ -138,7 +138,7 @@ RpcSimulation::run(std::uint64_t calls, std::uint32_t arg_bytes,
     start_call = [&] {
         ProfScope prof("rpc_client");
         double us = 0;
-        us += client.charge("stub", cfg.clientStubInstructions);
+        us += client.charge("stub", srcrpc::clientStubInstructions);
         us += client.charge("copy", copyCycles(desc, arg_bytes));
         us += client.charge("checksum", checksumCycles(desc, call_pkt));
         us += client.syscall();      // send

@@ -47,7 +47,7 @@ struct RpcSimResult
 class RpcSimulation
 {
   public:
-    RpcSimulation(const MachineDesc &machine, RpcConfig config = {});
+    RpcSimulation(const MachineDesc &machine, EthernetDesc link = {});
 
     /** Run `calls` sequential null RPCs to completion. */
     RpcSimResult run(std::uint64_t calls,
@@ -58,7 +58,7 @@ class RpcSimulation
     struct Node;
 
     MachineDesc desc;
-    RpcConfig cfg;
+    EthernetDesc link;
 };
 
 } // namespace aosd

@@ -2,6 +2,8 @@
 
 #include "cpu/primitive_costs.hh"
 #include "mem/cache.hh"
+#include "os/threads/sync.hh"
+#include "os/threads/thread.hh"
 #include "sim/attribution.hh"
 #include "sim/counters/counters.hh"
 
@@ -25,15 +27,16 @@ UrpcModel::nullCall() const
     b.lockUs = 2.0 * us(lockPairCycles(desc, impl));
 
     // Arguments onto the shared queue, results off it.
-    b.copyUs = 2.0 * us(copyCycles(desc, cfg.argBytes));
+    b.copyUs = 2.0 * us(copyCycles(desc, urpc::argBytes));
 
     // Call + reply through shared memory, no kernel on the data path.
     countEvent(HwCounter::IpcMessages, 2);
     countEvent(HwCounter::IpcFastPath);
-    countEvent(HwCounter::IpcBytesCopied, 2ull * cfg.argBytes);
+    countEvent(HwCounter::IpcBytesCopied, 2ull * urpc::argBytes);
 
-    // The client's thread blocks at user level; the server's runs.
-    ThreadCosts costs = computeThreadCosts(desc, cfg.threadOpts);
+    // The client's thread blocks at user level; the server's runs
+    // (default thread options: no FP state, full register save).
+    ThreadCosts costs = computeThreadCosts(desc);
     b.threadSwitchUs = 2.0 * us(costs.userThreadSwitch);
 
     // Kernel processor reallocation, amortized over a burst of calls.

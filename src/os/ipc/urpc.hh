@@ -19,8 +19,6 @@
 #include <cstdint>
 
 #include "arch/machine_desc.hh"
-#include "os/threads/sync.hh"
-#include "os/threads/thread.hh"
 
 namespace aosd
 {
@@ -40,14 +38,19 @@ struct UrpcBreakdown
     }
 };
 
+/** Fixed parameters of the URPC path. */
+namespace urpc
+{
+/** Argument bytes for the simplest call. */
+inline constexpr std::uint32_t argBytes = 16;
+} // namespace urpc
+
 /** Configuration of the URPC path. */
 struct UrpcConfig
 {
-    std::uint32_t argBytes = 16;
     /** Calls between kernel processor reallocations (the amortization
      *  the design depends on; 1 = every call goes to the kernel). */
     std::uint32_t callsPerReallocation = 50;
-    ThreadCostOptions threadOpts;
 };
 
 /** URPC on one machine. */

@@ -383,8 +383,6 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
     if (tracing)
         Tracer::instance().setCycle(cycleCount);
     const Asid asid = space.asid();
-    std::uint64_t *miss_stat =
-        kernel_space ? statKernelTlbMisses : statUserTlbMisses;
     const char *miss_leaf = kernel_space ? "miss_kernel" : "miss_user";
     // Observer state is loop-invariant too (the reference refill pauses
     // and restores it), and nothing in the loop snapshots the counters:
@@ -395,56 +393,44 @@ SimKernel::touchPages(const std::vector<Vpn> &pages, bool kernel_space)
     // Loop-invariant: whether misses charge the interpreted refill
     // handler (reference mode) or the lookup's modeled constant.
     const bool interp_refill = hasSwRefill && interpreting();
+    // One TLB miss on a kernel (kernel_ref) or user reference:
+    // charge the refill, attribute and count it, install v -> pfn.
+    auto refill = [&](const TlbLookup &miss, bool kernel_ref,
+                      const char *leaf, Vpn v, Asid a, Pfn pfn,
+                      PageProt prot) {
+        Cycles c = interp_refill ? interpRefillCost(kernel_ref)
+                                 : miss.missCycles;
+        cycleCount += c;
+        primCycles += c;
+        if (profiling)
+            Profiler::instance().addLeafCycles(leaf, c);
+        if (tracing)
+            Tracer::instance().setCycle(cycleCount);
+        ++*(kernel_ref ? statKernelTlbMisses : statUserTlbMisses);
+        tlbModel.refill(v, a, pfn, prot, miss.fillCell);
+        if (tracing)
+            Tracer::instance().instant(TraceEvent::TlbFill, "tlb_fill", v);
+    };
     for (Vpn vpn : pages) {
         TlbLookup r = tlbModel.lookup(vpn, asid, kernel_space, false);
-        if (!r.hit) {
-            Cycles mc = interp_refill ? interpRefillCost(kernel_space)
-                                      : r.missCycles;
-            cycleCount += mc;
-            primCycles += mc;
-            if (profiling)
-                Profiler::instance().addLeafCycles(miss_leaf, mc);
-            if (tracing)
-                Tracer::instance().setCycle(cycleCount);
-            ++*miss_stat;
-            const Pte *walked = space.translate(vpn);
-            Pte pte =
-                walked ? *walked : Pte{vpn, {}, false, false, false};
-            tlbModel.refill(vpn, asid, pte.pfn, pte.prot, r.fillCell);
-            if (tracing)
-                Tracer::instance().instant(TraceEvent::TlbFill,
-                                           "tlb_fill", vpn);
-            // Refilling from a *mapped* page table makes the walk
-            // itself reference kernel space: possible second-level
-            // miss (s5: "Page tables, for instance, remain mapped in
-            // kernel mode; TLB entries are needed to map the page
-            // tables themselves").
-            if (!kernel_space) {
-                // Each address space has its own kernel-mapped table
-                // pages; more spaces means more table pages competing
-                // for TLB entries.
-                Vpn table_page = 0x800 + asid + ((vpn >> 10) % 2);
-                TlbLookup k =
-                    tlbModel.lookup(table_page, 0, true, false);
-                if (!k.hit) {
-                    Cycles kc = interp_refill ? interpRefillCost(true)
-                                              : k.missCycles;
-                    cycleCount += kc;
-                    primCycles += kc;
-                    if (profiling)
-                        Profiler::instance().addLeafCycles(
-                            "miss_page_table", kc);
-                    if (tracing)
-                        Tracer::instance().setCycle(cycleCount);
-                    ++*statKernelTlbMisses;
-                    tlbModel.refill(table_page, 0, table_page, {},
-                                    k.fillCell);
-                    if (tracing)
-                        Tracer::instance().instant(TraceEvent::TlbFill,
-                                                   "tlb_fill",
-                                                   table_page);
-                }
-            }
+        if (r.hit)
+            continue;
+        const Pte *walked = space.translate(vpn);
+        Pte pte = walked ? *walked : Pte{vpn, {}, false, false, false};
+        refill(r, kernel_space, miss_leaf, vpn, asid, pte.pfn, pte.prot);
+        // Refilling from a *mapped* page table makes the walk itself
+        // reference kernel space: possible second-level miss (s5:
+        // "Page tables, for instance, remain mapped in kernel mode;
+        // TLB entries are needed to map the page tables themselves").
+        if (!kernel_space) {
+            // Each address space has its own kernel-mapped table
+            // pages; more spaces means more table pages competing for
+            // TLB entries.
+            Vpn table_page = 0x800 + asid + ((vpn >> 10) % 2);
+            TlbLookup k = tlbModel.lookup(table_page, 0, true, false);
+            if (!k.hit)
+                refill(k, true, "miss_page_table", table_page, 0,
+                       table_page, {});
         }
     }
     countEvent(HwCounter::TlbHits, tlbModel.hits() - hits_before);

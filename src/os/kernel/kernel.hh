@@ -97,9 +97,10 @@ class SimKernel
      *  per-event constants × n, profiler entries/self-cycles/
      *  histograms via the repeated attribution hooks, sampler
      *  boundaries via CounterSampler::tickRun — byte-identical to the
-     *  per-event loop in every JSON document. Otherwise (--no-batch /
-     *  AOSD_NO_BATCH, the reference interpreter mode, the tracer on,
-     *  or an open span-traced request) it runs that loop.
+     *  per-event loop in every JSON document. Otherwise
+     *  (AOSD_NO_BATCH=1 / setBatchEnabled(false), the reference
+     *  interpreter mode, the tracer on, or an open span-traced
+     *  request) it runs that loop.
      *  `sample_each` reproduces the workload drivers'
      *    CounterSampler::tick(elapsedCycles(), primitiveCycles())
      *  after every event. A PteChange run charges only: its callers

@@ -8,7 +8,7 @@ namespace aosd
 
 IvyDsm::IvyDsm(const MachineDesc &machine, std::uint32_t nodes,
                std::uint64_t pages, EthernetDesc link)
-    : desc(machine), rpc(machine, RpcConfig{link})
+    : desc(machine), rpc(machine, link)
 {
     if (nodes == 0)
         fatal("DSM needs at least one node");

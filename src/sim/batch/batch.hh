@@ -21,8 +21,7 @@
  *
  * The toggle mirrors the predecode pair (cpu/decoded_program.hh):
  * the AOSD_NO_BATCH environment variable, which every tool and test
- * process honours, runtime setBatchEnabled(false), and aosd_traffic's
- * --no-batch flag.
+ * process honours, and runtime setBatchEnabled(false).
  */
 
 #ifndef AOSD_SIM_BATCH_BATCH_HH
@@ -37,7 +36,7 @@ namespace aosd
  *  setBatchEnabled(false) select the per-event reference path). */
 bool batchEnabled();
 
-/** Flip batched charging at runtime (tools' --no-batch). */
+/** Flip batched charging at runtime (tests and benchmarks). */
 void setBatchEnabled(bool on);
 
 /** True when no per-event observer is watching: the event tracer

@@ -9,8 +9,6 @@
 #include <sstream>
 
 #include "arch/machines.hh"
-#include "cpu/decoded_program.hh"
-#include "sim/batch/batch.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/parallel/parallel_runner.hh"
@@ -169,22 +167,6 @@ Cli::jobs(unsigned &dst)
            },
            "worker threads (default and 0: all cores; 1 = serial;\n"
            "output is identical either way)");
-}
-
-void
-Cli::noPredecode()
-{
-    flag("--no-predecode", [] { setPredecodeEnabled(false); },
-         "re-interpret handler programs per kernel event (slow\n"
-         "reference path; output is identical)");
-}
-
-void
-Cli::noBatch()
-{
-    flag("--no-batch", [] { setBatchEnabled(false); },
-         "charge every kernel event one at a time (reference\n"
-         "path; output is identical)");
 }
 
 bool

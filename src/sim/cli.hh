@@ -23,8 +23,10 @@
  * line naming the tool, the flag and the offending value.
  *
  * The module also owns the plumbing the tools would otherwise each
- * copy: --jobs (0 = all cores), --no-predecode, --no-batch, --help,
- * writing an output file and loading a JSON input file.
+ * copy: --jobs (0 = all cores), --help, writing an output file and
+ * loading a JSON input file. The reference-path switches are
+ * environment variables (AOSD_NO_PREDECODE, AOSD_NO_BATCH), read by
+ * the library itself, so every tool honours them without a flag.
  */
 
 #ifndef AOSD_SIM_CLI_HH
@@ -143,10 +145,6 @@ class Cli
     /** --jobs N: worker threads; `dst` starts at all cores, and 0
      *  also means all cores. */
     void jobs(unsigned &dst);
-    /** --no-predecode: interpret handler programs per event. */
-    void noPredecode();
-    /** --no-batch: charge every kernel event one at a time. */
-    void noBatch();
 
     /** Parse `args` (without the program name). Returns false and
      *  sets `error` on a usage error; --help stops parsing and sets

@@ -127,8 +127,9 @@ class StatGroup
      * Intern a counter and return a stable reference to its value, so
      * hot paths bump without a per-event string lookup. std::map nodes
      * never move, so the reference stays valid for the group's
-     * lifetime (but not across copies/moves of the group — re-intern
-     * in the new object; see Tlb's copy operations).
+     * lifetime (but not across copies/moves of the group; Tlb, which
+     * interns its hot handles, is therefore neither copyable nor
+     * movable).
      */
     std::uint64_t &
     handle(const std::string &counter)

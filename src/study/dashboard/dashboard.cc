@@ -1116,6 +1116,9 @@ findingLine(const BisectFinding &f)
            "% of the regression)";
 }
 
+/** Flags annotated with a bisect explanation, largest first. */
+constexpr std::size_t topFlags = 20;
+
 std::string
 historyHtml(const DashboardInputs &in, const DashboardOptions &opts,
             const HistoryData &hist)
@@ -1192,7 +1195,7 @@ historyHtml(const DashboardInputs &in, const DashboardOptions &opts,
     std::size_t annotated = 0;
     for (std::size_t fi = 0; fi < hist.check.flags.size(); ++fi) {
         const TrendFlag &f = hist.check.flags[fi];
-        if (opts.topFlags != 0 && annotated == opts.topFlags) {
+        if (annotated == topFlags) {
             html += "<p class=\"muted\">… " +
                     fmtNum(static_cast<double>(
                         hist.check.flags.size() - annotated)) +

@@ -78,8 +78,6 @@ struct DashboardOptions
     std::size_t baselineWindow = 20;
     /** Sparkline points kept per metric, newest last. */
     std::size_t historyLast = 50;
-    /** Flags annotated with a bisect explanation, largest first. */
-    std::size_t topFlags = 20;
     /** Per-metric sparkline rows on the history page.
      *  0 = unlimited. */
     std::size_t historyCap = 400;

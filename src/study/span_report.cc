@@ -22,6 +22,13 @@ namespace aosd
 namespace
 {
 
+/** Mapped kernel-pool pages the random touches draw from. */
+constexpr std::uint32_t poolPages = 96;
+/** Maximum random kernel-pool touches per request. */
+constexpr std::uint32_t touchesMax = 8;
+/** Base seed; each cell derives its own deterministic stream. */
+constexpr std::uint64_t seed = 0x0a05d5ed;
+
 /** FNV-1a over a string: deterministic per-cell seed derivation. */
 std::uint64_t
 fnv1a(const char *s)
@@ -159,17 +166,17 @@ runSpanCell(const MachineDesc &machine, Primitive prim,
     peer.mapRange(0x2000, 24, 0xa000, {});
     // The kernel pool the random touches draw from (mapped kernel
     // data, refilled through the slow kernel-miss path).
-    kernel.kernelSpace().mapRange(0xc00, opts.poolPages, 0x800, {});
+    kernel.kernelSpace().mapRange(0xc00, poolPages, 0x800, {});
     kernel.contextSwitchTo(app);
 
-    Rng rng(opts.seed ^ fnv1a(machineSlug(machine.id)) ^
+    Rng rng(seed ^ fnv1a(machineSlug(machine.id)) ^
             fnv1a(primitiveSlug(prim)));
     CounterWindow window;
     SpanTracer &tracer = SpanTracer::instance();
     tracer.enable(opts.requestsPerPair);
 
     std::vector<Vpn> scratch;
-    scratch.reserve(opts.touchesMax);
+    scratch.reserve(touchesMax);
     for (std::size_t i = 0; i < opts.requestsPerPair; ++i) {
         tracer.beginRequest(primitiveSlug(prim), i,
                             kernel.elapsedCycles());
@@ -191,11 +198,11 @@ runSpanCell(const MachineDesc &machine, Primitive prim,
         // Dispatch-adjacent kernel work: a random number of kernel-
         // pool touches. Requests that cold-miss more pages land in
         // the tail; the span's counter delta says exactly why.
-        std::uint32_t touches = rng.below(opts.touchesMax + 1);
+        std::uint32_t touches = rng.below(touchesMax + 1);
         if (touches) {
             scratch.clear();
             for (std::uint32_t t = 0; t < touches; ++t)
-                scratch.push_back(0xc00 + rng.below(opts.poolPages));
+                scratch.push_back(0xc00 + rng.below(poolPages));
             kernel.touchPages(scratch, true);
         }
         tracer.endRequest(kernel.elapsedCycles());

@@ -52,12 +52,6 @@ struct SpanOptions
     std::size_t requestsPerPair = 1000;
     /** Slowest-request exemplars kept per cell. */
     std::size_t topK = 3;
-    /** Mapped kernel-pool pages the random touches draw from. */
-    std::uint32_t poolPages = 96;
-    /** Maximum random kernel-pool touches per request. */
-    std::uint32_t touchesMax = 8;
-    /** Base seed; each cell derives its own deterministic stream. */
-    std::uint64_t seed = 0x0a05d5ed;
     /** Machines to study; empty selects the Table 1 machines (the
      *  same --machines subsetting spelling as aosd_counters and
      *  aosd_traffic). */

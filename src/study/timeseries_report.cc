@@ -16,8 +16,15 @@ namespace aosd
 namespace
 {
 
+/** Sampling interval of the reference-trace replays. */
+constexpr Cycles refTraceIntervalCycles = 25'000;
+/** Machine the Synapse replays sample on (§4.1's SPARC), and the
+ *  samples each replay aims for. */
+constexpr MachineId synapseMachine = MachineId::SPARC;
+constexpr unsigned synapseSamples = 64;
+
 Json
-table7Section(std::vector<Table7Row> rows, const TimeseriesOptions &opts)
+table7Section(std::vector<Table7Row> rows)
 {
     Json cells = Json::object();
     for (const Table7Row &row : rows) {
@@ -35,8 +42,8 @@ table7Section(std::vector<Table7Row> rows, const TimeseriesOptions &opts)
     }
 
     Json section = Json::object();
-    section.set("machine", Json(machineSlug(opts.table7Machine)));
-    section.set("interval_cycles", Json(opts.table7IntervalCycles));
+    section.set("machine", Json(machineSlug(timeseriesTable7Machine)));
+    section.set("interval_cycles", Json(timeseriesTable7IntervalCycles));
     section.set("cells", std::move(cells));
     return section;
 }
@@ -48,7 +55,7 @@ refTraceSection(ParallelRunner &runner, const TimeseriesOptions &opts)
 
     RefTraceConfig config;
     config.references = opts.refTraceReferences;
-    config.samplingIntervalCycles = opts.refTraceIntervalCycles;
+    config.samplingIntervalCycles = refTraceIntervalCycles;
 
     std::vector<std::function<Json()>> tasks;
     tasks.reserve(machines.size());
@@ -72,23 +79,23 @@ refTraceSection(ParallelRunner &runner, const TimeseriesOptions &opts)
 
     Json section = Json::object();
     section.set("references", Json(opts.refTraceReferences));
-    section.set("interval_cycles", Json(opts.refTraceIntervalCycles));
+    section.set("interval_cycles", Json(refTraceIntervalCycles));
     section.set("machines", std::move(machines_json));
     return section;
 }
 
 Json
-synapseSection(ParallelRunner &runner, const TimeseriesOptions &opts)
+synapseSection(ParallelRunner &runner)
 {
-    MachineDesc machine = makeMachine(opts.synapseMachine);
+    MachineDesc machine = makeMachine(synapseMachine);
     std::vector<SynapseRun> runs = synapseExperiments();
 
     std::vector<std::function<Json()>> tasks;
     tasks.reserve(runs.size());
     for (const SynapseRun &run : runs)
-        tasks.push_back([&machine, run, &opts] {
-            SynapseSimResult r = simulateSynapseRun(
-                machine, run, opts.synapseSamples);
+        tasks.push_back([&machine, run] {
+            SynapseSimResult r =
+                simulateSynapseRun(machine, run, synapseSamples);
             Json cell = Json::object();
             cell.set("ratio", Json(r.priced.ratio));
             cell.set("call_cycles", Json(r.callCycles));
@@ -106,9 +113,9 @@ synapseSection(ParallelRunner &runner, const TimeseriesOptions &opts)
         runs_json.set(appSlug(runs[i].name), std::move(cells[i]));
 
     Json section = Json::object();
-    section.set("machine", Json(machineSlug(opts.synapseMachine)));
+    section.set("machine", Json(machineSlug(synapseMachine)));
     section.set("target_samples",
-                Json(static_cast<std::uint64_t>(opts.synapseSamples)));
+                Json(static_cast<std::uint64_t>(synapseSamples)));
     section.set("runs", std::move(runs_json));
     return section;
 }
@@ -120,11 +127,12 @@ buildTimeseriesDoc(ParallelRunner &runner,
                    const TimeseriesOptions &opts)
 {
     OsModelConfig config;
-    config.samplingIntervalCycles = opts.table7IntervalCycles;
+    config.samplingIntervalCycles = timeseriesTable7IntervalCycles;
     config.measureKernelWindow = true;
     return buildTimeseriesDoc(
         runner,
-        runMachGrid(makeMachine(opts.table7Machine), runner, config),
+        runMachGrid(makeMachine(timeseriesTable7Machine), runner,
+                    config),
         opts);
 }
 
@@ -136,9 +144,9 @@ buildTimeseriesDoc(ParallelRunner &runner,
     Json doc = Json::object();
     doc.set("schema_version", Json(timeseriesSchemaVersion));
     doc.set("generator", Json("aosd_report --timeseries"));
-    doc.set("table7", table7Section(std::move(table7Rows), opts));
+    doc.set("table7", table7Section(std::move(table7Rows)));
     doc.set("ref_trace", refTraceSection(runner, opts));
-    doc.set("synapse", synapseSection(runner, opts));
+    doc.set("synapse", synapseSection(runner));
     return doc;
 }
 

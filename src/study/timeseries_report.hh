@@ -33,18 +33,17 @@ namespace aosd
 class ParallelRunner;
 struct Table7Row;
 
+/** Machine and sampling interval of the table7 section. aosd_report
+ *  builds that section from its own report grid, which it runs on
+ *  this machine sampled at this interval. */
+inline constexpr MachineId timeseriesTable7Machine = MachineId::R3000;
+inline constexpr Cycles timeseriesTable7IntervalCycles = 1'000'000;
+
 /** Knobs of the timeseries document build. */
 struct TimeseriesOptions
 {
-    /** Machine the Table 7 grid samples on. */
-    MachineId table7Machine = MachineId::R3000;
-    Cycles table7IntervalCycles = 1'000'000;
-    /** Reference-trace replay length and sampling interval. */
+    /** Reference-trace replay length. */
     std::uint64_t refTraceReferences = 500'000;
-    Cycles refTraceIntervalCycles = 25'000;
-    /** Machine the Synapse replays sample on (§4.1's SPARC). */
-    MachineId synapseMachine = MachineId::SPARC;
-    unsigned synapseSamples = 64;
 };
 
 /** Build the full timeseries.json document, fanning the independent
@@ -53,11 +52,10 @@ Json buildTimeseriesDoc(ParallelRunner &runner,
                         const TimeseriesOptions &opts = {});
 
 /** The same document from a Table 7 grid the caller already ran on
- *  opts.table7Machine with measureKernelWindow on and
- *  samplingIntervalCycles = opts.table7IntervalCycles (for the
- *  default options: reportFigures(runner,
- *  opts.table7IntervalCycles).grid). The rows are consumed; move
- *  them in rather than copy their series. */
+ *  timeseriesTable7Machine with measureKernelWindow on and
+ *  samplingIntervalCycles = timeseriesTable7IntervalCycles
+ *  (reportFigures(runner, timeseriesTable7IntervalCycles).grid). The
+ *  rows are consumed; move them in rather than copy their series. */
 Json buildTimeseriesDoc(ParallelRunner &runner,
                         std::vector<Table7Row> table7Rows,
                         const TimeseriesOptions &opts = {});

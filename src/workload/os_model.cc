@@ -7,6 +7,28 @@
 namespace aosd
 {
 
+namespace
+{
+
+/** Mapped kernel data pool (buffer cache, vm objects), pages. */
+constexpr std::uint32_t kernelPoolPages = 160;
+/** Timer tick rate driving reschedule switches. */
+constexpr double quantumSwitchesPerSecond = 10.0;
+/** Clock interrupt rate (Hz), counted as other exceptions. */
+constexpr double clockInterruptHz = 100.0;
+/** Unix server / file cache manager TLB working sets (pages). */
+constexpr std::uint32_t unixServerWorkingSet = 24;
+constexpr std::uint32_t cacheManagerWorkingSet = 16;
+/** Kernel-structure pages (ports, message queues) each Mach IPC
+ *  system call touches in the decomposed system. */
+constexpr std::uint32_t kernelTouchesPerIpc = 5;
+/** Kernel-stack/pmap pages touched on every context switch. */
+constexpr std::uint32_t kernelTouchesPerSwitch = 4;
+/** Sampler ring capacity (samples kept before dropping oldest). */
+constexpr std::size_t samplerCapacity = 4096;
+
+} // namespace
+
 MachSystem::MachSystem(const MachineDesc &machine, OsStructure structure,
                        OsModelConfig config)
     : desc(machine), osStructure(structure), cfg(config)
@@ -19,7 +41,7 @@ MachSystem::touchKernelPool(SimKernel &k, std::uint32_t touches, Rng &rng)
     // over a pool much larger than the TLB.
     poolScratch.clear();
     for (std::uint32_t i = 0; i < touches; ++i)
-        poolScratch.push_back(0xC00 + rng.below(cfg.kernelPoolPages));
+        poolScratch.push_back(0xC00 + rng.below(kernelPoolPages));
     k.touchPages(poolScratch, /*kernel_space=*/true);
 }
 
@@ -33,9 +55,9 @@ MachSystem::serviceCallMonolithic(SimKernel &k, AddressSpace &app_space,
     if (rng.chance(app.blockFraction)) {
         // The call blocks on I/O: switch away and eventually back.
         k.contextSwitchTo(daemon);
-        touchKernelPool(k, cfg.kernelTouchesPerSwitch, rng);
+        touchKernelPool(k, kernelTouchesPerSwitch, rng);
         k.contextSwitchTo(app_space);
-        touchKernelPool(k, cfg.kernelTouchesPerSwitch, rng);
+        touchKernelPool(k, kernelTouchesPerSwitch, rng);
     }
 }
 
@@ -66,18 +88,18 @@ MachSystem::serviceCallSmallKernel(SimKernel &k, AddressSpace &app_space,
     for (std::uint32_t s = 0; s < nservers; ++s) {
         AddressSpace &server = (s % 2 == 0) ? unix_server : cache_mgr;
         k.syscall(); // send request
-        touchKernelPool(k, cfg.kernelTouchesPerIpc, rng);
+        touchKernelPool(k, kernelTouchesPerIpc, rng);
         bool switch_out = rng.chance(app.switchesPerRpc / 2.0);
         if (switch_out) {
             k.contextSwitchTo(server);
-            touchKernelPool(k, cfg.kernelTouchesPerSwitch, rng);
+            touchKernelPool(k, kernelTouchesPerSwitch, rng);
         }
         k.runUserCode(app.serverInstrsPerRpc);
         k.syscall(); // send reply
-        touchKernelPool(k, cfg.kernelTouchesPerIpc, rng);
+        touchKernelPool(k, kernelTouchesPerIpc, rng);
         if (switch_out) {
             k.contextSwitchTo(app_space);
-            touchKernelPool(k, cfg.kernelTouchesPerSwitch, rng);
+            touchKernelPool(k, kernelTouchesPerSwitch, rng);
         }
     }
 }
@@ -97,15 +119,15 @@ MachSystem::run(const AppProfile &app)
     daemon.mapRange(0x3000, 10, 0x20000, {});
 
     AddressSpace &unix_server = kernel.createSpace("unix-server");
-    unix_server.setWorkingSet(0x5000, cfg.unixServerWorkingSet);
-    unix_server.mapRange(0x5000, cfg.unixServerWorkingSet, 0x30000, {});
+    unix_server.setWorkingSet(0x5000, unixServerWorkingSet);
+    unix_server.mapRange(0x5000, unixServerWorkingSet, 0x30000, {});
 
     AddressSpace &cache_mgr = kernel.createSpace("file-cache-mgr");
-    cache_mgr.setWorkingSet(0x7000, cfg.cacheManagerWorkingSet);
-    cache_mgr.mapRange(0x7000, cfg.cacheManagerWorkingSet, 0x40000, {});
+    cache_mgr.setWorkingSet(0x7000, cacheManagerWorkingSet);
+    cache_mgr.mapRange(0x7000, cacheManagerWorkingSet, 0x40000, {});
 
     // Map the kernel pool in the kernel's space.
-    kernel.kernelSpace().mapRange(0xC00, cfg.kernelPoolPages, 0x800, {});
+    kernel.kernelSpace().mapRange(0xC00, kernelPoolPages, 0x800, {});
 
     kernel.contextSwitchTo(app_space);
     kernel.resetAccounting();
@@ -115,7 +137,7 @@ MachSystem::run(const AppProfile &app)
     // default configuration behaves exactly as before this existed.
     CounterWindow window(
         cfg.samplingIntervalCycles > 0 || cfg.measureKernelWindow,
-        {cfg.samplingIntervalCycles, cfg.samplerCapacity});
+        {cfg.samplingIntervalCycles, samplerCapacity});
     CounterSampler &sampler = CounterSampler::instance();
 
     bool needs_tas_emulation = !desc.hasAtomicOp;
@@ -142,7 +164,7 @@ MachSystem::run(const AppProfile &app)
             serviceCallMonolithic(kernel, app_space, daemon, app, rng);
             // Drain each accumulator to a count, then charge the
             // whole homogeneous run in one batched call (falls back
-            // to the identical per-event loop under --no-batch).
+            // to the identical per-event loop under AOSD_NO_BATCH=1).
             std::uint64_t emul25_n = 0;
             for (emul25_acc += emul25_per; emul25_acc >= 1;
                  emul25_acc -= 1)
@@ -189,14 +211,14 @@ MachSystem::run(const AppProfile &app)
     // Timer-driven activity proportional to (approximate) elapsed time.
     double elapsed = kernel.elapsedSeconds();
     auto clock_ints = static_cast<std::uint64_t>(
-        elapsed * cfg.clockInterruptHz);
+        elapsed * clockInterruptHz);
     // sample_each: the per-event loop ticked the sampler after every
     // clock interrupt; the batched charge reproduces each crossed
     // interval boundary via CounterSampler::tickRun.
     kernel.charge(KernelOp::OtherException, clock_ints,
                   /*sample_each=*/true);
     auto resched = static_cast<std::uint64_t>(
-        elapsed * cfg.quantumSwitchesPerSecond / 2.0);
+        elapsed * quantumSwitchesPerSecond / 2.0);
     for (std::uint64_t i = 0; i < resched; ++i) {
         kernel.contextSwitchTo(daemon);
         kernel.contextSwitchTo(app_space);

@@ -66,31 +66,16 @@ struct Table7Row
     bool hasKernelWindow = false;
 };
 
-/** Tunables of the system model itself (not per-application). */
+/** Per-run settings of the system model (its fixed parameters are
+ *  constants in os_model.cc). */
 struct OsModelConfig
 {
-    /** Mapped kernel data pool (buffer cache, vm objects), pages. */
-    std::uint32_t kernelPoolPages = 160;
-    /** Timer tick rate driving reschedule switches. */
-    double quantumSwitchesPerSecond = 10.0;
-    /** Clock interrupt rate (Hz), counted as other exceptions. */
-    double clockInterruptHz = 100.0;
-    /** Unix server / file cache manager TLB working sets (pages). */
-    std::uint32_t unixServerWorkingSet = 24;
-    std::uint32_t cacheManagerWorkingSet = 16;
-    /** Kernel-structure pages (ports, message queues) each Mach IPC
-     *  system call touches in the decomposed system. */
-    std::uint32_t kernelTouchesPerIpc = 5;
-    /** Kernel-stack/pmap pages touched on every context switch. */
-    std::uint32_t kernelTouchesPerSwitch = 4;
     /** RNG seed (runs are deterministic per seed). */
     std::uint64_t seed = 12345;
     /** Sample the counter file every this many simulated cycles into
      *  the row's time series (0 = off; off leaves the run untouched —
      *  no counter session is opened and no sample is ever taken). */
     Cycles samplingIntervalCycles = 0;
-    /** Sampler ring capacity (samples kept before dropping oldest). */
-    std::size_t samplerCapacity = 4096;
     /** Reconcile counted kernel events x primitive costs against the
      *  kernel's charged primitive cycles over the whole run. */
     bool measureKernelWindow = false;

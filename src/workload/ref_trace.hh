@@ -25,7 +25,8 @@
 namespace aosd
 {
 
-/** Parameters of the synthetic trace. */
+/** Parameters of the synthetic trace (its locality and switch
+ *  constants live in ref_trace.cc). */
 struct RefTraceConfig
 {
     /** Total memory references to generate. */
@@ -33,26 +34,10 @@ struct RefTraceConfig
     /** Fraction of references made in system mode (Clark & Emer's
      *  VMS measured ~0.20; Agarwal's Ultrix workloads >0.50). */
     double systemFraction = 0.20;
-    /** User locality: pages in the hot working set, and probability a
-     *  user reference stays inside it. */
-    std::uint32_t userHotPages = 16;
-    double userHotProbability = 0.97;
-    std::uint32_t userColdPages = 256;
-    /** System references sprawl across a large pool (buffer cache,
-     *  process structures, page tables). */
-    std::uint32_t systemPoolPages = 1024;
-    double systemHotProbability = 0.55;
-    std::uint32_t systemHotPages = 24;
-    /** Context switches per million references; each one disturbs
-     *  the TLB (purge when untagged, pressure when tagged). */
-    std::uint32_t switchesPerMillion = 400;
-    std::uint32_t processes = 8;
-    std::uint64_t seed = 2718281828;
     /** Sample the counter file every this many simulated cycles into
      *  the result's time series (0 = off; off leaves the replay
      *  untouched — no counter session is opened). */
     Cycles samplingIntervalCycles = 0;
-    std::size_t samplerCapacity = 4096;
 };
 
 /** Outcome of running a trace through a TLB. */

@@ -5,8 +5,8 @@
  * central equivalence property — a batched run leaves *exactly* the
  * state of the per-event loop (cycles, every hardware counter, kernel
  * stats, the profiler tree, the sampler series) for every KernelOp on
- * every Table 1 machine, under randomized event mixes, and under
- * --no-predecode — each op's per-event trace records, and the
+ * every Table 1 machine, under randomized event mixes, and with
+ * predecode off — each op's per-event trace records, and the
  * CounterSampler::tickRun multi-interval regression (a batch spanning
  * several sample intervals emits one sample per boundary crossed,
  * never one fat sample).

@@ -180,14 +180,12 @@ TEST(CliTest, HelpStopsParsingAndListsEveryFlag)
     unsigned jobs = 0;
     Cli cli("tool");
     cli.jobs(jobs);
-    cli.noPredecode();
     std::string error;
     ASSERT_TRUE(cli.parse({"--help", "--bogus"}, &error));
     EXPECT_TRUE(cli.helpRequested());
     std::string usage = cli.usage();
     EXPECT_EQ(usage.rfind("usage: tool [options]\n", 0), 0u);
     EXPECT_NE(usage.find("--jobs N"), std::string::npos);
-    EXPECT_NE(usage.find("--no-predecode"), std::string::npos);
 }
 
 TEST(CliTest, JobsZeroMeansAllCores)

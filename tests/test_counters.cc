@@ -305,14 +305,12 @@ TEST_F(CountersTest, LrpcCountsFastPathMessages)
 {
     MachineDesc m = makeMachine(MachineId::CVAX);
     HwCounters::instance().enable();
-    LrpcConfig cfg;
-    LrpcModel lrpc(m, cfg);
-    lrpc.nullCall();
+    LrpcModel(m).nullCall();
     HwCounters &c = HwCounters::instance();
     EXPECT_GE(c.value(HwCounter::IpcMessages), 2u);
     EXPECT_EQ(c.value(HwCounter::IpcFastPath), 1u);
     EXPECT_EQ(c.value(HwCounter::IpcBytesCopied),
-              2ull * cfg.argBytes);
+              2ull * lrpc::argBytes);
 }
 
 // ---- the cycles-explained cross-check -----------------------------

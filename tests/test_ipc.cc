@@ -135,9 +135,9 @@ TEST(Rpc, RpcSpeedupLagsIntegerSpeedup)
 
 TEST(Rpc, FasterNetworkShrinksWireOnly)
 {
-    RpcConfig slow, fast;
-    slow.link.mbps = 10;
-    fast.link.mbps = 100;
+    EthernetDesc slow, fast;
+    slow.mbps = 10;
+    fast.mbps = 100;
     MachineDesc m = makeMachine(MachineId::R3000);
     RpcBreakdown bs = SrcRpcModel(m, slow).roundTrip(74, 1500);
     RpcBreakdown bf = SrcRpcModel(m, fast).roundTrip(74, 1500);

@@ -77,8 +77,8 @@ TEST(ReportRegression, SampledGridGivesTheSameReport)
     // aosd_report --timeseries builds the report from the grid it
     // samples for timeseries.json; the report must not notice.
     ParallelRunner serial(1);
-    ReportFigures sampled = reportFigures(
-        serial, TimeseriesOptions{}.table7IntervalCycles);
+    ReportFigures sampled =
+        reportFigures(serial, timeseriesTable7IntervalCycles);
     ASSERT_FALSE(sampled.grid.empty());
     EXPECT_FALSE(sampled.grid.front().timeseries.empty());
     EXPECT_EQ(buildReport(sampled.figures).dump(1),

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <optional>
+
 #include "arch/machines.hh"
 #include "mem/tlb.hh"
 #include "sim/random.hh"
@@ -261,6 +265,142 @@ TEST_P(TlbPropertyTest, HitAfterInsertUntilEvicted)
         TlbLookup r = tlb.lookup(v, a);
         ASSERT_TRUE(r.hit);
         ASSERT_EQ(r.pfn, v * 2);
+    }
+}
+
+/** Reference model: the valid translations in recency order, most
+ *  recent first. A new key takes a free entry while one exists, else
+ *  evicts the least recently used unlocked entry. */
+class RefLruTlb
+{
+  public:
+    RefLruTlb(std::size_t capacity, bool tagged)
+        : capacity(capacity), tagged(tagged)
+    {}
+
+    std::optional<Pfn>
+    lookup(Vpn vpn, Asid asid)
+    {
+        auto it = find(vpn, asid);
+        if (it == order.end())
+            return std::nullopt;
+        order.splice(order.begin(), order, it);
+        return it->pfn;
+    }
+
+    void
+    insert(Vpn vpn, Asid asid, Pfn pfn, bool locked)
+    {
+        auto it = find(vpn, asid);
+        if (it != order.end()) {
+            order.erase(it);
+        } else if (order.size() == capacity) {
+            auto victim = std::find_if(order.rbegin(), order.rend(),
+                                       [](const Entry &e) {
+                                           return !e.locked;
+                                       });
+            order.erase(std::next(victim).base());
+        }
+        order.push_front({vpn, tagged ? asid : 0, pfn, locked});
+    }
+
+    void
+    invalidate(Vpn vpn, Asid asid)
+    {
+        auto it = find(vpn, asid);
+        if (it != order.end())
+            order.erase(it);
+    }
+
+    void
+    invalidateAsid(Asid asid)
+    {
+        order.remove_if([asid](const Entry &e) { return e.asid == asid; });
+    }
+
+    void invalidateAll() { order.clear(); }
+
+    std::size_t size() const { return order.size(); }
+
+    std::size_t
+    lockedCount() const
+    {
+        return static_cast<std::size_t>(
+            std::count_if(order.begin(), order.end(),
+                          [](const Entry &e) { return e.locked; }));
+    }
+
+  private:
+    struct Entry
+    {
+        Vpn vpn;
+        Asid asid;
+        Pfn pfn;
+        bool locked;
+    };
+
+    std::list<Entry>::iterator
+    find(Vpn vpn, Asid asid)
+    {
+        Asid key = tagged ? asid : 0;
+        return std::find_if(order.begin(), order.end(),
+                            [&](const Entry &e) {
+                                return e.vpn == vpn && e.asid == key;
+                            });
+    }
+
+    std::size_t capacity;
+    bool tagged;
+    std::list<Entry> order;
+};
+
+TEST_P(TlbPropertyTest, MatchesReferenceLruModel)
+{
+    // Random inserts (some locked), lookups and the three
+    // invalidations against the reference model, on a tagged and an
+    // untagged TLB: every lookup must agree on hit/miss and pfn, and
+    // the occupancy must agree after every step.
+    for (bool tagged : {true, false}) {
+        SCOPED_TRACE(tagged ? "tagged" : "untagged");
+        Rng rng(GetParam() * 6007 + tagged);
+        TlbDesc d;
+        d.entries = 8;
+        d.processIdTags = tagged;
+        d.pidCount = tagged ? 4 : 0;
+        d.lockableEntries = 2;
+        Tlb tlb(d);
+        RefLruTlb ref(d.entries, tagged);
+        for (int i = 0; i < 20000; ++i) {
+            Vpn v = rng.below(24);
+            Asid a = static_cast<Asid>(rng.below(4));
+            std::uint64_t op = rng.below(100);
+            if (op < 40) {
+                TlbLookup got = tlb.lookup(v, a);
+                std::optional<Pfn> want = ref.lookup(v, a);
+                ASSERT_EQ(got.hit, want.has_value()) << "step " << i;
+                if (want) {
+                    ASSERT_EQ(got.pfn, *want) << "step " << i;
+                }
+            } else if (op < 85) {
+                // Keep at least half the entries unlocked so a
+                // victim always exists.
+                bool locked = rng.chance(0.05) &&
+                              ref.lockedCount() < d.entries / 2;
+                Pfn pfn = rng.below(1 << 20);
+                tlb.insert(v, a, pfn, {}, locked);
+                ref.insert(v, a, pfn, locked);
+            } else if (op < 95) {
+                tlb.invalidate(v, a);
+                ref.invalidate(v, a);
+            } else if (op < 99) {
+                tlb.invalidateAsid(a);
+                ref.invalidateAsid(a);
+            } else {
+                tlb.invalidateAll();
+                ref.invalidateAll();
+            }
+            ASSERT_EQ(tlb.validEntries(), ref.size()) << "step " << i;
+        }
     }
 }
 

@@ -64,7 +64,6 @@ main(int argc, char **argv)
              "reconcile Table 7 workload windows (one machine;\n"
              "default R3000)");
     cli.jobs(jobs);
-    cli.noPredecode();
     cli.parseOrExit(argc, argv);
     reps = std::max(reps, 1u);
     std::vector<MachineDesc> machines;

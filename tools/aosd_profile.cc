@@ -80,7 +80,6 @@ main(int argc, char **argv)
     cli.option("--machines", "CSV", machine_ids,
                "machine slugs (default: the five Table 1 machines)");
     cli.jobs(jobs);
-    cli.noPredecode();
     cli.parseOrExit(argc, argv);
     reps = std::max(reps, 1u);
     std::vector<MachineDesc> machines;

@@ -110,7 +110,6 @@ main(int argc, char **argv)
                "(latency percentiles, slowest-request exemplars,\n"
                "tail attribution)");
     cli.jobs(jobs);
-    cli.noPredecode();
     cli.parseOrExit(argc, argv);
 
     if (!trace_path.empty() && jobs != 1) {
@@ -131,12 +130,11 @@ main(int argc, char **argv)
     // One run of the Table 7 grid feeds the report and, with
     // --timeseries, the sampled table7 section too: arming the
     // sampler changes no figure.
-    static_assert(TimeseriesOptions{}.table7Machine == MachineId::R3000,
+    static_assert(timeseriesTable7Machine == MachineId::R3000,
                   "the timeseries table7 section reads the report grid");
     ReportFigures run = reportFigures(
-        runner, timeseries_path.empty()
-                    ? 0
-                    : TimeseriesOptions{}.table7IntervalCycles);
+        runner, timeseries_path.empty() ? 0
+                                        : timeseriesTable7IntervalCycles);
     Json report = buildReport(run.figures);
 
     if (!timeseries_path.empty() &&

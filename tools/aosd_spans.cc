@@ -51,7 +51,6 @@ main(int argc, char **argv)
                "slowest-request exemplars per cell (default 3)");
     cli.option("--machines", "CSV", opts.machines,
                "machine slugs (default: the five Table 1 machines)");
-    cli.noPredecode();
     cli.parseOrExit(argc, argv);
 
     ParallelRunner runner(jobs);

@@ -23,9 +23,9 @@
  * 99.999%: the request classes use only exactly-priced primitives, so
  * anything less than 100% explained is a charging bug, not noise).
  * The kernel-window batch charger (sim/batch) is what makes
- * million-request sweeps affordable; --no-batch runs the same sweep
- * through the per-event loops and CI cmp-gates that the JSON is
- * byte-identical.
+ * million-request sweeps affordable; AOSD_NO_BATCH=1 in the
+ * environment runs the same sweep through the per-event loops and CI
+ * cmp-gates that the JSON is byte-identical.
  */
 
 #include <algorithm>
@@ -161,8 +161,6 @@ main(int argc, char **argv)
                "least PCT% of its primitive cycles (default 99.999)",
                0.0, 100.0);
     cli.jobs(jobs);
-    cli.noBatch();
-    cli.noPredecode();
     cli.parseOrExit(argc, argv);
 
     ParallelRunner runner(jobs);
