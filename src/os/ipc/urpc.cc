@@ -10,6 +10,14 @@
 namespace aosd
 {
 
+namespace
+{
+
+/** Argument bytes for the simplest call. */
+constexpr std::uint32_t argBytes = 16;
+
+} // namespace
+
 UrpcModel::UrpcModel(const MachineDesc &machine, UrpcConfig config)
     : desc(machine), cfg(config)
 {}
@@ -27,12 +35,12 @@ UrpcModel::nullCall() const
     b.lockUs = 2.0 * us(lockPairCycles(desc, impl));
 
     // Arguments onto the shared queue, results off it.
-    b.copyUs = 2.0 * us(copyCycles(desc, urpc::argBytes));
+    b.copyUs = 2.0 * us(copyCycles(desc, argBytes));
 
     // Call + reply through shared memory, no kernel on the data path.
     countEvent(HwCounter::IpcMessages, 2);
     countEvent(HwCounter::IpcFastPath);
-    countEvent(HwCounter::IpcBytesCopied, 2ull * urpc::argBytes);
+    countEvent(HwCounter::IpcBytesCopied, 2ull * argBytes);
 
     // The client's thread blocks at user level; the server's runs
     // (default thread options: no FP state, full register save).

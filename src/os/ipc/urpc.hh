@@ -38,13 +38,6 @@ struct UrpcBreakdown
     }
 };
 
-/** Fixed parameters of the URPC path. */
-namespace urpc
-{
-/** Argument bytes for the simplest call. */
-inline constexpr std::uint32_t argBytes = 16;
-} // namespace urpc
-
 /** Configuration of the URPC path. */
 struct UrpcConfig
 {

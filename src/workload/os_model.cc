@@ -24,8 +24,6 @@ constexpr std::uint32_t cacheManagerWorkingSet = 16;
 constexpr std::uint32_t kernelTouchesPerIpc = 5;
 /** Kernel-stack/pmap pages touched on every context switch. */
 constexpr std::uint32_t kernelTouchesPerSwitch = 4;
-/** Sampler ring capacity (samples kept before dropping oldest). */
-constexpr std::size_t samplerCapacity = 4096;
 
 } // namespace
 
@@ -137,7 +135,7 @@ MachSystem::run(const AppProfile &app)
     // default configuration behaves exactly as before this existed.
     CounterWindow window(
         cfg.samplingIntervalCycles > 0 || cfg.measureKernelWindow,
-        {cfg.samplingIntervalCycles, samplerCapacity});
+        SamplerConfig{cfg.samplingIntervalCycles});
     CounterSampler &sampler = CounterSampler::instance();
 
     bool needs_tas_emulation = !desc.hasAtomicOp;

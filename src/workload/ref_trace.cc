@@ -21,8 +21,6 @@ constexpr std::uint32_t systemHotPages = 24;
 constexpr std::uint32_t switchesPerMillion = 400;
 constexpr std::uint32_t processes = 8;
 constexpr std::uint64_t seed = 2718281828;
-/** Sampler ring capacity (samples kept before dropping oldest). */
-constexpr std::size_t samplerCapacity = 4096;
 
 } // namespace
 
@@ -37,8 +35,7 @@ runRefTrace(const MachineDesc &machine, const RefTraceConfig &cfg)
     // cycles on misses and purge cycles on untagged-TLB switches.
     Cycles refill_cycles = 0; // cumulative, the occupancy aux channel
     CounterWindow window(cfg.samplingIntervalCycles > 0,
-                         {cfg.samplingIntervalCycles,
-                          samplerCapacity});
+                         SamplerConfig{cfg.samplingIntervalCycles});
     CounterSampler &sampler = CounterSampler::instance();
 
     Asid current = 1;

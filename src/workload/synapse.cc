@@ -48,7 +48,7 @@ simulateSynapseRun(const MachineDesc &machine, const SynapseRun &run,
     Cycles interval = std::max<Cycles>(
         1, total / std::max<unsigned>(target_samples, 1));
 
-    CounterWindow window(true, {interval, 4096});
+    CounterWindow window(true, SamplerConfig{interval});
     CounterSampler &sampler = CounterSampler::instance();
 
     // Interleave chronologically: spread the calls evenly across the
